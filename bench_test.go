@@ -238,13 +238,11 @@ func BenchmarkHeadline(b *testing.B) {
 
 // BenchmarkPreparedReuse measures what the engine-level plan cache buys on
 // the mask-evaluation hot path: repeated row classification through one
-// prepared handle (plan, backward feasible-start set, and forward reach
-// memo compiled/computed once, shared by every cursor) against a
-// compile-each-time baseline that drops the cache before every evaluation.
-// With a warm handle each evaluation allocates only the output mask, so
-// allocs/op collapse versus recompilation — the open case re-runs the
-// backward pass every time, the closed case re-propagates every distinct
-// patient.
+// prepared handle (plan compiled and planned once, shared by every cursor)
+// against a compile-each-time baseline that drops the cache before every
+// evaluation. With a warm handle each evaluation allocates little beyond
+// the output mask (the memo comes from a pool), so allocs/op collapse
+// versus recompilation and replanning.
 func BenchmarkPreparedReuse(b *testing.B) {
 	e := smallEnv(b)
 	closed := explain.GroupTemplate("appt-same-group", "Appointments", "an appointment").Path
@@ -253,7 +251,7 @@ func BenchmarkPreparedReuse(b *testing.B) {
 	b.Run("open/prepared", func(b *testing.B) {
 		ev := query.NewEvaluator(e.DS.DB)
 		pp := ev.Prepare(open)
-		pp.ConnectedRows() // warm the shared feasible-start set
+		pp.ConnectedRows() // warm the coded indexes and the memo pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -276,7 +274,7 @@ func BenchmarkPreparedReuse(b *testing.B) {
 	b.Run("closed/prepared", func(b *testing.B) {
 		ev := query.NewEvaluator(e.DS.DB)
 		pp := ev.Prepare(closed)
-		pp.ExplainedRows() // warm the shared reach memo
+		pp.ExplainedRows() // warm the coded indexes and the memo pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -434,17 +432,15 @@ func BenchmarkExplainAllMedium(b *testing.B) {
 	b.ReportMetric(worst, "live-B")
 }
 
-// benchmarkEval classifies every Medium log row through the length-4
+// BenchmarkEvalLazy classifies every Medium log row through the length-4
 // department template on a fresh engine each iteration, reporting the worst
 // heap evaluation left reachable while the engine lives — the footprint a
 // long-lived plan entry pins between evaluations. The baseline is taken
 // after Prepare and the output mask is dropped before measuring, so the
-// metric isolates what evaluating retains on top of the compiled plan: the
-// materialized path keeps one propagated value set per distinct patient in
-// the shared reach memo (unbounded here, to measure the whole
-// materialization), while the lazy path memoizes per call and keeps
-// nothing.
-func benchmarkEval(b *testing.B, lazyOn bool) {
+// metric isolates what evaluating retains on top of the compiled plan:
+// evaluation memoizes per call in pooled arrays, so live-B should be a
+// small constant.
+func BenchmarkEvalLazy(b *testing.B) {
 	a := mediumAuditor(b)
 	tpl := explain.DeptTemplate("appt-same-dept", "Appointments", "an appointment")
 	b.ReportAllocs()
@@ -452,8 +448,6 @@ func benchmarkEval(b *testing.B, lazyOn bool) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
 		ev := query.NewEvaluator(a.Database())
-		ev.SetLazyEval(lazyOn)
-		ev.SetReachMemoCap(0)
 		pp := ev.Prepare(tpl.Path)
 		before := liveHeap()
 		rows := pp.ExplainedRows()
@@ -472,15 +466,6 @@ func benchmarkEval(b *testing.B, lazyOn bool) {
 	}
 	b.ReportMetric(worst, "live-B")
 }
-
-// BenchmarkEvalLazy is the lazy iterator execution side of the tentpole
-// comparison; its live-B should be a small constant.
-func BenchmarkEvalLazy(b *testing.B) { benchmarkEval(b, true) }
-
-// BenchmarkEvalMaterialized runs the same classification through the
-// materialized valueSet oracle; its live-B is the retained reach memo the
-// lazy path eliminates (the acceptance bar is >= 5x between the two).
-func BenchmarkEvalMaterialized(b *testing.B) { benchmarkEval(b, false) }
 
 // BenchmarkObsOverhead prices the observability layer on the hot lazy
 // evaluation of BenchmarkEvalLazy. The disabled sub-benchmark runs with
@@ -513,8 +498,6 @@ func benchmarkEvalObs(b *testing.B, enabled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := query.NewEvaluator(a.Database())
-		ev.SetLazyEval(true)
-		ev.SetReachMemoCap(0)
 		ev.SetExecStats(enabled)
 		pp := ev.Prepare(tpl.Path)
 		if len(pp.ExplainedRows()) == 0 {
@@ -767,45 +750,21 @@ func BenchmarkAblationSkip(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDistinct compares the DISTINCT-projection support
-// evaluator against the naive nested-loop evaluator (§3.2.1 optimization 2)
-// on the length-2 appointment template.
-func BenchmarkAblationDistinct(b *testing.B) {
-	e := smallEnv(b)
-	tpl := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
-	// Evaluate over first accesses to keep the naive variant tractable.
-	db, audited := e.MiningDB()
-	ev := query.NewEvaluatorWithLog(db, audited)
-	want := ev.Support(tpl.Path)
-	b.Run("distinct=on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ev.Support(tpl.Path) != want {
-				b.Fatal("support mismatch")
-			}
-		}
-	})
-	b.Run("distinct=off(naive)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ev.SupportNaive(tpl.Path) != want {
-				b.Fatal("support mismatch")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationIndex compares the indexed nested-join evaluator
-// (SupportNaive) against the fully index-free linear-scan baseline
-// (SupportScan) on the length-2 appointment template, isolating what the
-// per-column hash indexes buy on top of nothing.
+// BenchmarkAblationIndex compares the engine's support evaluation — coded
+// DISTINCT pair indexes walked by the planned lazy evaluator — against the
+// fully index-free linear-scan baseline (SupportScan) on the length-2
+// appointment template, isolating what the indexes and the DISTINCT
+// projections (§3.2.1 optimization 2) buy on top of nothing.
 func BenchmarkAblationIndex(b *testing.B) {
 	e := smallEnv(b)
 	tpl := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
+	// Evaluate over first accesses to keep the scan variant tractable.
 	db, audited := e.MiningDB()
 	ev := query.NewEvaluatorWithLog(db, audited)
-	want := ev.Support(tpl.Path)
-	b.Run("index=on(naive)", func(b *testing.B) {
+	want := ev.SupportScan(tpl.Path)
+	b.Run("index=on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if ev.SupportNaive(tpl.Path) != want {
+			if ev.Support(tpl.Path) != want {
 				b.Fatal("support mismatch")
 			}
 		}
@@ -908,8 +867,8 @@ var (
 // with the non-group catalog and pre-warmed masks, plus an append pattern:
 // the last ~1% of the generated log, re-stamped per batch with fresh
 // ascending Lids at the log's final date so every batch is a chronological
-// append of realistic rows (existing patients and users, so the warm reach
-// memo is representative).
+// append of realistic rows (existing patients and users, so the dictionary
+// and the coded indexes are representative).
 func incrementalAuditor(b *testing.B) (*core.Auditor, *relation.Table) {
 	b.Helper()
 	incrOnce.Do(func() {
@@ -958,7 +917,7 @@ func appendIncrementalBatch(log *relation.Table) int {
 
 // BenchmarkIncrementalAppend measures the tentpole: append 1% of the Medium
 // log, then Refresh — cached template masks are extended over just the new
-// rows on surviving compiled plans and warm reach memos, so each iteration
+// rows on surviving compiled plans and coded indexes, so each iteration
 // costs O(new rows). Compare ns/op and allocs/op against
 // BenchmarkIncrementalAppendColdBaseline (same append, masks and plans
 // dropped first — the pre-incremental behavior of recomputing the world);

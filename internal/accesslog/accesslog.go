@@ -108,10 +108,11 @@ func FirstAccessRows(log *relation.Table) []bool {
 }
 
 // WithLog returns a shallow copy of db in which the Log table is replaced by
-// log (renamed to "Log" if needed). Event tables are shared, so cached
-// indexes built on them remain valid across experiments.
+// log (renamed to "Log" if needed). Event tables and the value dictionary
+// are shared, so cached indexes built on them — Value and coded alike —
+// remain valid across experiments.
 func WithLog(db *relation.Database, log *relation.Table) *relation.Database {
-	out := relation.NewDatabase()
+	out := db.Derive()
 	for _, name := range db.TableNames() {
 		if name == pathmodel.LogTable {
 			continue

@@ -119,11 +119,16 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 	}
 	n := a.ev.Log().NumRows()
 	hist := a.histVersion()
-	a.mu.Lock()
 	nt := len(a.templates)
+	events := make([]uint64, nt)
+	for i := range events {
+		events[i] = a.eventVersion(i)
+	}
+	a.mu.Lock()
 	var tasks []maskTask
 	for i := 0; i < nt; i++ {
 		e, ok := a.masks[i]
+		ok = ok && e.events == events[i]
 		monotone := explain.AppendMonotone(a.templates[i])
 		switch {
 		// A non-monotone template's mask is also stale when the *history*
@@ -194,7 +199,7 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 		}
 		a.mu.Lock()
 		for _, tk := range tasks {
-			a.masks[tk.tpl] = &maskEntry{bits: tk.bits, rows: n, hist: hist}
+			a.masks[tk.tpl] = &maskEntry{bits: tk.bits, rows: n, hist: hist, events: events[tk.tpl]}
 		}
 		a.mu.Unlock()
 	}

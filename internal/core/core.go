@@ -73,6 +73,10 @@ type Auditor struct {
 	auditedLog *relation.Table
 
 	templates []explain.Template
+	// eventTables lists, per template, the tables other than Log it reads
+	// (nil when the template type cannot say: it may read any table); see
+	// eventVersion.
+	eventTables [][]string
 
 	// mu guards masks. A published maskEntry (and the packed bitset inside
 	// it) is never mutated — refreshes copy-on-extend and swap the entry —
@@ -113,10 +117,31 @@ type Auditor struct {
 // be rebuilt when the history grew even if the shard received no new rows
 // (append-monotone templates are, by definition, immune to chronological
 // history growth and only ever need the rows extension).
+//
+// events is the template's eventVersion when the mask was computed: an
+// Append to an event table the template joins against can explain rows
+// already classified, so a changed events forces a rebuild from row 0.
 type maskEntry struct {
-	bits *bitset.Bits
-	rows int
-	hist uint64
+	bits   *bitset.Bits
+	rows   int
+	hist   uint64
+	events uint64
+}
+
+// eventVersion fingerprints the Append counters of the event tables
+// template i reads. Only equality is meaningful.
+func (a *Auditor) eventVersion(i int) uint64 {
+	names := a.eventTables[i]
+	if names == nil {
+		names = a.db.TableNames()
+	}
+	var v uint64
+	for _, name := range names {
+		if t := a.db.Table(name); t != nil && name != pathmodel.LogTable {
+			v = v*1_000_003 + t.Version() + 1
+		}
+	}
+	return v
 }
 
 // histVersion returns the append watermark of the history log — the
@@ -297,6 +322,18 @@ func (a *Auditor) invalidateMasksReading(table string) {
 // path length, as in §2.1. Masks of previously registered templates stay
 // cached — the new templates' masks are computed lazily on first use.
 func (a *Auditor) AddTemplates(ts ...explain.Template) {
+	for _, t := range ts {
+		var events []string
+		if refs, ok := explain.TemplateTables(t); ok {
+			events = []string{}
+			for _, r := range refs {
+				if r != pathmodel.LogTable {
+					events = append(events, r)
+				}
+			}
+		}
+		a.eventTables = append(a.eventTables, events)
+	}
 	a.templates = append(a.templates, ts...)
 }
 
@@ -320,9 +357,11 @@ func (a *Auditor) MineTemplates(algo string, opt mine.Options) (mine.Result, err
 func (a *Auditor) mask(i int) *bitset.Bits {
 	n := a.ev.Log().NumRows()
 	hist := a.histVersion()
+	events := a.eventVersion(i)
 	a.mu.Lock()
 	e, ok := a.masks[i]
 	a.mu.Unlock()
+	ok = ok && e.events == events
 	monotone := explain.AppendMonotone(a.templates[i])
 	if ok && e.rows == n && (monotone || e.hist == hist) {
 		a.maskHits.Add(1)
@@ -356,7 +395,7 @@ func (a *Auditor) mask(i int) *bitset.Bits {
 	}
 	sp.End()
 	a.mu.Lock()
-	a.masks[i] = &maskEntry{bits: bits, rows: n, hist: hist}
+	a.masks[i] = &maskEntry{bits: bits, rows: n, hist: hist, events: events}
 	a.mu.Unlock()
 	return bits
 }
@@ -375,8 +414,9 @@ func (a *Auditor) mask(i int) *bitset.Bits {
 // Appended rows must follow the access-log contract the incremental
 // differential tests pin down: they sort after every pre-existing row by
 // (Date, Lid) and carry increasing Lids, which is what an append-only
-// chronological log produces. Destructive changes (table replacement)
-// instead go through AddTable/ResetMaskCache.
+// chronological log produces. Rows appended to an event table rebuild the
+// masks of the templates that read it, from row 0. Destructive changes
+// (table replacement) instead go through AddTable/ResetMaskCache.
 func (a *Auditor) Refresh(ctx context.Context, parallelism int) error {
 	_, err := a.ensureMasks(ctx, parallelism)
 	return err

@@ -81,7 +81,7 @@ func (a *Auditor) InstallWarmState(ws *store.WarmState) (masks, plans int) {
 		} else if m.Rows != n || uint64(m.HistRows) != hist {
 			continue
 		}
-		a.masks[i] = &maskEntry{bits: m.Bits, rows: m.Rows, hist: hist}
+		a.masks[i] = &maskEntry{bits: m.Bits, rows: m.Rows, hist: hist, events: a.eventVersion(i)}
 		masks++
 	}
 	a.mu.Unlock()

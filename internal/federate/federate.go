@@ -869,9 +869,8 @@ func (f *Federation) ShardInfos() []ShardInfo {
 
 // PlanCacheStats aggregates the plan-cache and template-mask counters of
 // every shard engine (the coordinator's estimate-only evaluator holds no
-// plans and is excluded). ReachCap is -1 if the shards are configured with
-// differing caps; ReachCapMin/ReachCapMax then bound the per-shard values.
-// See query.PlanCacheStats.Add.
+// plans and is excluded). Shards over one database share its dictionary, so
+// DictValues is the largest shard's, not a sum. See query.PlanCacheStats.Add.
 func (f *Federation) PlanCacheStats() query.PlanCacheStats {
 	agg := f.shards[0].auditor.PlanCacheStats()
 	for _, sh := range f.shards[1:] {
@@ -881,7 +880,7 @@ func (f *Federation) PlanCacheStats() query.PlanCacheStats {
 }
 
 // MetricsSnapshot returns the federation-wide metrics view: every shard
-// engine's registry (query-plan, reach-memo, and mask-cache metrics, kept
+// engine's registry (query-plan, coded-index, and mask-cache metrics, kept
 // per shard for attribution) merged with the process-wide obs.Default
 // registry (worker-pool, stream-merge, and store metrics, which have no
 // shard to belong to). Counters and histogram buckets sum across shards.

@@ -52,11 +52,11 @@ func TestSupportEqualsMaskPopcount(t *testing.T) {
 
 // TestMinedTemplatesAgreeWithNaive runs the full miner over the tiny
 // synthetic hospital and differentially re-validates the support of every
-// mined template against the naive evaluator — an end-to-end check of the
+// mined template against the index-free SupportScan — an end-to-end check of the
 // whole optimized pipeline.
 func TestMinedTemplatesAgreeWithNaive(t *testing.T) {
 	ds := ehr.Generate(ehr.Tiny())
-	// Mining over the full log; no groups so the naive evaluator stays fast.
+	// Mining over the full log; no groups so the scan oracle stays fast.
 	opts := ehr.GraphOptions{DatasetB: true, DeptSelfJoin: true, LogSelfJoins: true}
 	g := ehr.SchemaGraph(opts)
 	ev := query.NewEvaluator(ds.DB)
@@ -70,12 +70,12 @@ func TestMinedTemplatesAgreeWithNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	checked := 0
 	for _, p := range res.Templates {
-		// The naive evaluator is O(rows^hops); sample to keep the test fast.
+		// The scan oracle is O(rows^hops); sample to keep the test fast.
 		if r.Intn(3) != 0 && checked >= 5 {
 			continue
 		}
-		if got, want := ev.Support(p), ev.SupportNaive(p); got != want {
-			t.Errorf("template %s: Support = %d, naive = %d", p, got, want)
+		if got, want := ev.Support(p), ev.SupportScan(p); got != want {
+			t.Errorf("template %s: Support = %d, SupportScan = %d", p, got, want)
 		}
 		checked++
 	}
@@ -84,14 +84,14 @@ func TestMinedTemplatesAgreeWithNaive(t *testing.T) {
 	}
 }
 
-// TestHandcraftedSupportAgreesAcrossSeeds differentially validates the three
-// support implementations — indexed DISTINCT/semi-join (Support), indexed
-// per-row nested join (SupportNaive), and the fully index-free linear-scan
+// TestHandcraftedSupportAgreesAcrossSeeds differentially validates the
+// support implementations — the coded, planned evaluator (Support), the same
+// evaluator over declared-order plans, and the fully index-free linear-scan
 // baseline (SupportScan) — over the complete hand-crafted template catalog
 // on three differently seeded hospitals. Because Support and SupportScan
-// share no join machinery (and SupportScan never consults the lazy index
-// caches), agreement across all three pins down both the DISTINCT
-// optimization and the hash-index resolution at once.
+// share no join machinery (SupportScan never consults the dictionary or the
+// index caches), agreement pins down the DISTINCT optimization, the coded
+// indexes and the planner at once.
 func TestHandcraftedSupportAgreesAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := ehr.Tiny()
@@ -101,6 +101,8 @@ func TestHandcraftedSupportAgreesAcrossSeeds(t *testing.T) {
 		h := groups.BuildHierarchy(groups.BuildUserGraph(ds.Log()), 8)
 		ds.DB.AddTable(h.Table("Groups"))
 		ev := query.NewEvaluator(ds.DB)
+		declared := query.NewEvaluator(ds.DB)
+		declared.SetPlannerEnabled(false)
 
 		for _, tpl := range explain.Handcrafted(true, true).All() {
 			pt, ok := tpl.(*explain.PathTemplate)
@@ -108,8 +110,8 @@ func TestHandcraftedSupportAgreesAcrossSeeds(t *testing.T) {
 				continue // the decorated repeat-access template has no simple path
 			}
 			got := ev.Support(pt.Path)
-			if naive := ev.SupportNaive(pt.Path); naive != got {
-				t.Errorf("seed %d, %s: Support = %d, SupportNaive = %d", seed, pt.Name(), got, naive)
+			if d := declared.Support(pt.Path); d != got {
+				t.Errorf("seed %d, %s: Support = %d, declared order = %d", seed, pt.Name(), got, d)
 			}
 			if scan := ev.SupportScan(pt.Path); scan != got {
 				t.Errorf("seed %d, %s: Support = %d, SupportScan = %d", seed, pt.Name(), got, scan)

@@ -53,9 +53,7 @@ func (ev *Evaluator) decoratedSearch(dp pathmodel.DecoratedPath, logRow int, yie
 		return true
 	}
 
-	pr := ev.projections()
-	patient := pr.patients[logRow]
-	user := pr.users[logRow]
+	patient, user := ev.logValues(logRow)
 
 	stopped := false
 	var dfs func(ci int, current relation.Value)
@@ -115,7 +113,7 @@ func (ev *Evaluator) decoratedSearch(dp pathmodel.DecoratedPath, logRow int, yie
 // instance binding of the decorated path explains it. Per Definition 3 the
 // result is always a subset of ExplainedRows of the base path.
 func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
-	return ev.ExplainedRowsDecoratedRange(dp, 0, len(ev.projections().patients))
+	return ev.ExplainedRowsDecoratedRange(dp, 0, ev.numRows())
 }
 
 // ExplainedRowsDecoratedRange evaluates the decorated path over the
@@ -124,7 +122,7 @@ func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
 // disjoint ranges concatenate to exactly the full result; this is the range
 // primitive behind sharding a DecoratedTemplate mask across workers.
 func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo, hi int) []bool {
-	if lo < 0 || hi < lo || hi > len(ev.projections().patients) {
+	if lo < 0 || hi < lo || hi > ev.numRows() {
 		panic("query: decorated range out of bounds")
 	}
 	ev.queriesEvaluated++

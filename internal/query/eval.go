@@ -21,15 +21,24 @@
 // in one call — because compiled plans are cached, even they stop paying
 // compilation cost after the first evaluation of a condition set.
 //
+// Plans run on dense value codes, not on relation.Value: every database
+// carries one append-only dictionary (relation.Database.Dict), a compiled
+// plan is a chain of the tables' cached CSR pair lists and exists bitsets
+// over its codes, the planner rewrites those arrays (planner.go), and one
+// lazy first-witness evaluator walks them with pooled dense memos
+// (lazy.go). Values come back only where the caller sees them: instance
+// enumeration, decorated search and the index-free SupportScan oracle work
+// on the tables' rows directly.
+//
 // # Concurrency contract
 //
 // An Evaluator is split into two parts. The engine — the database binding,
-// the audited log, the start/end column projections, and the shared plan
-// cache — is created by NewEvaluatorWithLog and shared by every evaluator
-// cloned from it. The projections are immutable after construction; the plan
-// cache is guarded by an RWMutex (and per-entry sync.Once for compilation),
-// so any number of cursors may Prepare and evaluate concurrently, reusing
-// each other's compiled plans and backward feasibleStarts sets. The cache is
+// the audited log, the coded start/end column projections, and the shared
+// plan cache — is created by NewEvaluatorWithLog and shared by every
+// evaluator cloned from it. The projections only ever grow by appended rows;
+// the plan cache is guarded by an RWMutex (and per-entry sync.Once for
+// compilation), so any number of cursors may Prepare and evaluate
+// concurrently, reusing each other's compiled plans. The cache is
 // keyed by the path's canonical condition key and is dropped wholesale when
 // relation.Database.Version reports a mutation (AddTable, or Append on any
 // registered table).
@@ -49,35 +58,42 @@ package query
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
 
-// engine is the shareable part of an Evaluator: the database, the audited
-// log, the log column projections, and the compiled-plan cache. The
-// projections are written only during NewEvaluatorWithLog; the plan cache is
-// internally synchronized, so any number of cursors may use the engine
-// concurrently.
+// engine is the shareable part of an Evaluator: the database, its value
+// dictionary, the audited log, the coded log column projections, and the
+// compiled-plan cache. The projections are extended only under projMu; the
+// plan cache is internally synchronized, so any number of cursors may use
+// the engine concurrently.
 type engine struct {
 	db  *relation.Database
 	log *relation.Table
+
+	// dict is the database's value dictionary (relation.Database.Dict).
+	// Plans, projections and evaluation memos all speak its codes; the
+	// shard engines of one database share it.
+	dict *relation.Dict
 
 	// logPatientIdx and logUserIdx are the audited log's Patient and User
 	// column positions, immutable after construction.
 	logPatientIdx int
 	logUserIdx    int
 
-	// proj is the per-row start/end column snapshot (one entry per audited
-	// row), published atomically so it can be *extended* when the log grows:
-	// projections reads the log's AppendVersion and, on a mismatch, appends
-	// the new rows' values and swaps in a fresh header under projMu. Readers
-	// holding an older snapshot see a clean prefix — appended rows only ever
-	// land beyond their length — which is what makes query evaluation
-	// append-aware without a rebuild. projVersion is the AppendVersion the
-	// current snapshot covers; it is stored after proj so a reader that
-	// observes the new version also observes the new snapshot.
+	// proj is the per-row start/end column snapshot as dictionary codes (one
+	// entry per audited row), published atomically so it can be *extended*
+	// when the log grows: projections reads the log's AppendVersion and, on
+	// a mismatch, encodes only the new rows and swaps in a fresh header
+	// under projMu. Readers holding an older snapshot see a clean prefix —
+	// appended rows only ever land beyond their length — which is what
+	// makes query evaluation append-aware without a rebuild. projVersion is
+	// the AppendVersion the current snapshot covers; it is stored after proj
+	// so a reader that observes the new version also observes the new
+	// snapshot.
 	proj        atomic.Pointer[logProj]
 	projVersion atomic.Uint64
 	projMu      sync.Mutex
@@ -89,9 +105,8 @@ type engine struct {
 	// swapped any table wholesale. Pure appends do not touch the schema
 	// version; they are detected per entry through the compiled plan's table
 	// dependencies (cachedPlan.deps), so appending log rows leaves every
-	// plan that does not read the appended table — with its feasible-start
-	// set and reach memo — intact. Hit/miss counters are engine-wide atomics
-	// shared by all cursors.
+	// plan that does not read the appended table intact. Hit/miss counters
+	// are engine-wide atomics shared by all cursors.
 	planMu      sync.RWMutex
 	plans       map[string]*cachedPlan
 	planVersion uint64
@@ -112,29 +127,23 @@ type engine struct {
 	// obs.Enabled (the gate for anything that reads the clock).
 	compileNanos *obs.Histogram
 
-	// reachCap is the per-plan bound on resident reach-memo entries (0 =
-	// unbounded); it is read when a plan entry is created, and
-	// SetReachMemoCap additionally pushes a new value into every
-	// already-cached plan. reachEvictions counts reach-memo evictions across
-	// every plan of the engine (query.reach.evictions).
-	reachCap       atomic.Int64
-	reachCapGauge  *obs.Gauge // query.reach.cap
-	reachEvictions *obs.Counter
+	// dictValues is the query.dict.values gauge (values interned in the
+	// dictionary, refreshed when plans compile and projections extend).
+	// indexBuilds counts coded indexes (CSR pair lists and exists sets) this
+	// engine's compilations built rather than found cached on their table
+	// (query.index.builds); indexBuildNanos times those builds, observed
+	// only when obs.Enabled.
+	dictValues      *obs.Gauge
+	indexBuilds     *obs.Counter
+	indexBuildNanos *obs.Histogram
 
 	// plannerOff disables the compile-time planner stage (see planner.go);
 	// the zero value — planner on — is the default. Stored inverted so the
 	// engine literal in NewEvaluatorWithLog needs no initialization.
 	plannerOff atomic.Bool
 
-	// lazyOff disables lazy (pull-based, first-witness) plan execution and
-	// routes evaluation through the materialized propagation oracle (see
-	// lazy.go). Stored inverted like plannerOff: the zero value — lazy on —
-	// is the default.
-	lazyOff atomic.Bool
-
-	// execOff disables per-op execution statistics (rows in/out, postings,
-	// memo hits — see exec.go). Stored inverted like plannerOff would be if
-	// it defaulted on, except exec stats default OFF: the zero value means
+	// execOn enables per-op execution statistics (rows in/out, postings,
+	// memo hits — see exec.go). Exec stats default OFF: the zero value means
 	// disabled, and SetExecStats(true) turns collection on. Disabled cost is
 	// one atomic load per evaluation entry point plus a nil check per op
 	// visit.
@@ -154,12 +163,6 @@ type engine struct {
 	planContractions *obs.Counter
 	planPairsPruned  *obs.Counter
 	planNanos        *obs.Counter
-
-	// backwardPasses counts feasibleStarts evaluations engine-wide
-	// (query.feas.backward_passes) — the observable the feas-memo tests pin
-	// down: an open plan shared by ConnectedRange and Support callers must
-	// run its backward pass once, not once per Support call.
-	backwardPasses *obs.Counter
 }
 
 // initMetrics creates the engine's registry and resolves every named metric
@@ -170,26 +173,28 @@ func (eng *engine) initMetrics() {
 	eng.planHits = reg.Counter("query.plan.hits")
 	eng.planMisses = reg.Counter("query.plan.misses")
 	eng.compileNanos = reg.Histogram("query.plan.compile_nanos")
-	eng.reachCapGauge = reg.Gauge("query.reach.cap")
-	eng.reachEvictions = reg.Counter("query.reach.evictions")
+	eng.dictValues = reg.Gauge("query.dict.values")
+	eng.indexBuilds = reg.Counter("query.index.builds")
+	eng.indexBuildNanos = reg.Histogram("query.index.build_nanos")
 	eng.planEndSide = reg.Counter("query.plan.end_side")
 	eng.plansPlanned = reg.Counter("query.plan.planned")
 	eng.planContractions = reg.Counter("query.plan.contractions")
 	eng.planPairsPruned = reg.Counter("query.plan.pairs_pruned")
 	eng.planNanos = reg.Counter("query.plan.nanos")
-	eng.backwardPasses = reg.Counter("query.feas.backward_passes")
 }
 
-// backwardPass runs feasibleStarts and counts it on the engine.
-func (eng *engine) backwardPass(pl plan) valueSet {
-	eng.backwardPasses.Add(1)
-	return feasibleStarts(pl)
+// syncDict interns every row appended to the database's tables since the
+// last sync (so codes stay in table-row order) and refreshes the
+// query.dict.values gauge.
+func (eng *engine) syncDict() {
+	eng.db.Dict()
+	eng.dictValues.Set(int64(eng.dict.Len()))
 }
 
 // Evaluator executes paths against one database. It is a cheap per-caller
-// cursor over a shared immutable engine; see the package comment for the
-// concurrency contract. An individual Evaluator is not safe for concurrent
-// use — use Clone to give each goroutine its own cursor.
+// cursor over a shared engine; see the package comment for the concurrency
+// contract. An individual Evaluator is not safe for concurrent use — use
+// Clone to give each goroutine its own cursor.
 type Evaluator struct {
 	*engine
 
@@ -199,7 +204,7 @@ type Evaluator struct {
 	estimatesIssued  int
 
 	// postingsScanned counts index postings and pair-list entries consumed
-	// by lazy evaluation and instance enumeration on this cursor — the
+	// by plan evaluation and instance enumeration on this cursor — the
 	// observable the early-termination tests pin: Instances(limit) and
 	// existence checks must stop consuming after the first witness.
 	postingsScanned int
@@ -221,7 +226,7 @@ func NewEvaluator(db *relation.Database) *Evaluator {
 // match itself in the test set.
 func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evaluator {
 	log := audited
-	eng := &engine{db: db, log: log, plans: make(map[string]*cachedPlan), planVersion: db.SchemaVersion()}
+	eng := &engine{db: db, log: log, dict: db.Dict(), plans: make(map[string]*cachedPlan), planVersion: db.SchemaVersion()}
 	eng.initMetrics()
 	pi, ok := log.ColumnIndex(pathmodel.LogPatientColumn)
 	if !ok {
@@ -234,14 +239,12 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 	eng.logPatientIdx, eng.logUserIdx = pi, ui
 	n := log.NumRows()
 	pr := &logProj{
-		patients: make([]relation.Value, 0, n),
-		users:    make([]relation.Value, 0, n),
+		patients: make([]uint32, 0, n),
+		users:    make([]uint32, 0, n),
 	}
 	appendProjRows(eng, pr, n)
 	eng.proj.Store(pr)
 	eng.projVersion.Store(log.AppendVersion())
-	eng.reachCap.Store(int64(defaultReachMemoCap(n)))
-	eng.reachCapGauge.Set(eng.reachCap.Load())
 	return &Evaluator{engine: eng}
 }
 
@@ -252,25 +255,28 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 func (ev *Evaluator) Metrics() *obs.Registry { return ev.engine.reg }
 
 // logProj is one immutable-prefix snapshot of the audited log's start/end
-// column projections: patients[r] and users[r] for every row the snapshot
-// covers. Snapshots are extended, never rewritten — see engine.proj.
+// column projections as dictionary codes: patients[r] and users[r] for
+// every row the snapshot covers. Snapshots are extended, never rewritten —
+// see engine.proj.
 type logProj struct {
-	patients, users []relation.Value
+	patients, users []uint32
 }
 
-// appendProjRows extends pr with log rows [len(pr.patients), n).
+// appendProjRows encodes log rows [len(pr.patients), n) into pr. The
+// database's own rows are interned first, so a value the audited log shares
+// with a table keeps that table's code.
 func appendProjRows(eng *engine, pr *logProj, n int) {
-	for r := len(pr.patients); r < n; r++ {
-		row := eng.log.Row(r)
-		pr.patients = append(pr.patients, row[eng.logPatientIdx])
-		pr.users = append(pr.users, row[eng.logUserIdx])
-	}
+	eng.db.Dict()
+	from := len(pr.patients)
+	pr.patients = eng.dict.EncodeColumn(pr.patients, eng.log, eng.logPatientIdx, from, n)
+	pr.users = eng.dict.EncodeColumn(pr.users, eng.log, eng.logUserIdx, from, n)
+	eng.dictValues.Set(int64(eng.dict.Len()))
 }
 
 // projections returns the engine's log-column snapshot, first extending it
 // to cover rows appended to the audited log since the snapshot was built.
 // The fast path is one atomic version compare; extension runs under projMu
-// and appends only the new suffix (an in-place append is safe for
+// and encodes only the new suffix (an in-place append is safe for
 // concurrent readers of the old header, whose length excludes the new
 // slots), so every query entry point is append-aware at O(new rows) cost.
 // Like all query evaluation, it must not race with the Append itself — the
@@ -293,52 +299,21 @@ func (eng *engine) projections() *logProj {
 	return next
 }
 
-// defaultReachMemoCap sizes the per-plan reach-memo bound off the audited
-// log's cardinality: a quarter of the log's rows, floored so small datasets
-// never evict. Distinct start values cannot exceed the row count, so the
-// memo stays a bounded fraction of the log while typical working sets (far
-// fewer distinct patients than rows) still fit without eviction.
-func defaultReachMemoCap(logRows int) int {
-	const floor = 1024
-	bound := logRows / 4
-	if bound < floor {
-		bound = floor
-	}
-	return bound
+// numRows returns the number of audited rows, extending the projections
+// first so appended rows count.
+func (eng *engine) numRows() int { return len(eng.projections().patients) }
+
+// logValues returns the audited row's (patient, user) values — the Value
+// form the index-free oracle and instance enumeration work on.
+func (eng *engine) logValues(r int) (patient, user relation.Value) {
+	row := eng.log.Row(r)
+	return row[eng.logPatientIdx], row[eng.logUserIdx]
 }
 
-// SetReachMemoCap bounds how many forward-propagation results each compiled
-// plan may keep resident (the reach memo behind ExplainedRange); excess
-// entries are evicted clock-wise and transparently recomputed on the next
-// miss, so results never change — only memory and recomputation trade off.
-// A bound <= 0 removes the cap. The setting is engine-wide (shared by every
-// Clone) and applies to every plan: plans prepared later adopt it at
-// creation, and plans already in the cache are re-capped in place — a
-// lowered bound evicts their excess entries immediately (counted in
-// PlanCacheStats.ReachEvictions) instead of waiting for the next prepare.
-// The default is sized off the log's row count.
-func (ev *Evaluator) SetReachMemoCap(bound int) {
-	if bound < 0 {
-		bound = 0
-	}
-	eng := ev.engine
-	eng.reachCap.Store(int64(bound))
-	eng.reachCapGauge.Set(int64(bound))
-	eng.planMu.RLock()
-	defer eng.planMu.RUnlock()
-	for _, ent := range eng.plans {
-		ent.reach.setCap(bound)
-	}
-}
-
-// ReachMemoCap returns the configured per-plan reach-memo bound (0 =
-// unbounded).
-func (ev *Evaluator) ReachMemoCap() int { return int(ev.engine.reachCap.Load()) }
-
-// Clone returns a new cursor over the same immutable engine: same database,
-// log, and projections, but fresh statistics counters. The clone may be used
-// concurrently with the receiver and with other clones; this is the
-// primitive the batch auditing engine hands to each worker.
+// Clone returns a new cursor over the same engine: same database,
+// dictionary, log, and projections, but fresh statistics counters. The
+// clone may be used concurrently with the receiver and with other clones;
+// this is the primitive the batch auditing engine hands to each worker.
 func (ev *Evaluator) Clone() *Evaluator {
 	return &Evaluator{engine: ev.engine}
 }
@@ -356,11 +331,11 @@ func (ev *Evaluator) QueriesEvaluated() int { return ev.queriesEvaluated }
 func (ev *Evaluator) EstimatesIssued() int { return ev.estimatesIssued }
 
 // PostingsScanned returns the number of index postings and pair-list
-// entries this cursor's lazy evaluations and instance enumerations have
+// entries this cursor's plan evaluations and instance enumerations have
 // consumed. Like QueriesEvaluated it is per-cursor.
 func (ev *Evaluator) PostingsScanned() int { return ev.postingsScanned }
 
-// opKind distinguishes the three step types of a compiled plan.
+// opKind distinguishes the step types of a compiled plan.
 type opKind uint8
 
 const (
@@ -370,13 +345,13 @@ const (
 	opClose                // values are compared against Log.User per row
 )
 
-// op is one step of a compiled plan. Forward propagation feeds a value set
+// op is one step of a compiled plan. Evaluation feeds dictionary codes
 // through the ops in order.
 type op struct {
-	kind  opKind
-	table string
-	pairs map[relation.Value][]relation.Value // opBridge, opMap
-	index map[relation.Value][]int            // opExists
+	kind   opKind
+	table  string
+	pairs  *relation.CSR    // opBridge, opMap
+	exists relation.CodeSet // opExists
 }
 
 type plan struct {
@@ -387,9 +362,7 @@ type plan struct {
 	// and walked from the close boundary back to the start — built by the
 	// planner for closed plans whose end boundary is clearly smaller than
 	// their start boundary (see planner.go). It is nil when the start side
-	// was kept. Only lazy execution walks it; the materialized oracle
-	// (propagate, the reach memo) always evaluates ops start-side, so the
-	// oracle's observables are independent of the side choice.
+	// was kept.
 	rev []op
 
 	// info records the planner's decisions when the planner stage ran on
@@ -398,7 +371,7 @@ type plan struct {
 	info PlanInfo
 }
 
-// execOps returns the op chain lazy execution walks and whether the (start,
+// execOps returns the op chain evaluation walks and whether the (start,
 // end) roles must be swapped before walking it — true when the planner
 // chose the end-side chain.
 func (pl plan) execOps() ([]op, bool) {
@@ -408,9 +381,12 @@ func (pl plan) execOps() ([]op, bool) {
 	return pl.ops, false
 }
 
-// compile lowers a path into a plan. It panics on malformed paths because
-// those indicate a bug in path construction, which tests cover directly.
+// compile lowers a path into a plan over the tables' coded indexes. It
+// panics on malformed paths because those indicate a bug in path
+// construction, which tests cover directly.
 func (ev *Evaluator) compile(p pathmodel.Path) plan {
+	eng := ev.engine
+	eng.syncDict()
 	insts := p.Instances()
 	conds := p.Conds()
 	var pl plan
@@ -420,7 +396,7 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 			pl.ops = append(pl.ops, op{
 				kind:  opBridge,
 				table: c.Via.Table,
-				pairs: bt.DistinctPairs(c.Via.FromColumn, c.Via.ToColumn),
+				pairs: eng.codedPairs(bt, c.Via.FromColumn, c.Via.ToColumn),
 			})
 		}
 		if c.RightInst == 0 {
@@ -434,9 +410,9 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 		in := insts[c.RightInst]
 		t := ev.db.MustTable(in.Table)
 		if in.Exit == "" {
-			pl.ops = append(pl.ops, op{kind: opExists, table: in.Table, index: t.Index(in.Entry)})
+			pl.ops = append(pl.ops, op{kind: opExists, table: in.Table, exists: eng.codedExists(t, in.Entry)})
 		} else {
-			pl.ops = append(pl.ops, op{kind: opMap, table: in.Table, pairs: t.DistinctPairs(in.Entry, in.Exit)})
+			pl.ops = append(pl.ops, op{kind: opMap, table: in.Table, pairs: eng.codedPairs(t, in.Entry, in.Exit)})
 		}
 	}
 	if pl.closed != p.Closed() {
@@ -445,122 +421,40 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 	return pl
 }
 
-// valueSet is a small set abstraction over relation.Value.
-type valueSet map[relation.Value]struct{}
-
-func (s valueSet) has(v relation.Value) bool { _, ok := s[v]; return ok }
-
-// propagate feeds the singleton {start} forward through every op except a
-// trailing opClose, returning the reachable value set at the end.
-func propagate(pl plan, start relation.Value) valueSet {
-	cur := valueSet{start: {}}
-	for _, o := range pl.ops {
-		switch o.kind {
-		case opClose:
-			return cur
-		case opExists:
-			next := make(valueSet)
-			for v := range cur {
-				if _, ok := o.index[v]; ok {
-					next[v] = struct{}{}
-				}
-			}
-			cur = next
-		default: // opBridge, opMap
-			next := make(valueSet)
-			for v := range cur {
-				for _, w := range o.pairs[v] {
-					next[w] = struct{}{}
-				}
-			}
-			cur = next
-		}
-		if len(cur) == 0 {
-			return cur
-		}
-	}
-	return cur
+// codedPairs returns t's coded (from, to) pair index, charging a build to
+// the engine's index metrics.
+func (eng *engine) codedPairs(t *relation.Table, from, to string) *relation.CSR {
+	t0, timed := eng.buildClock()
+	c, built := t.CodedPairs(eng.dict, from, to)
+	eng.countBuild(built, timed, t0)
+	return c
 }
 
-// propagateExec is propagate with per-op execution counting into el; it
-// falls straight through to propagate when collection is off (el == nil).
-// Materialized execution always walks pl.ops start-side, so counters index
-// the declared chain.
-func propagateExec(pl plan, start relation.Value, el *execLocal) valueSet {
-	if el == nil {
-		return propagate(pl, start)
-	}
-	cur := valueSet{start: {}}
-	for i, o := range pl.ops {
-		el.rowsIn[i] += int64(len(cur))
-		switch o.kind {
-		case opClose:
-			el.rowsOut[i] += int64(len(cur))
-			return cur
-		case opExists:
-			next := make(valueSet)
-			for v := range cur {
-				if _, ok := o.index[v]; ok {
-					next[v] = struct{}{}
-				}
-			}
-			cur = next
-		default: // opBridge, opMap
-			next := make(valueSet)
-			for v := range cur {
-				el.postings[i] += int64(len(o.pairs[v]))
-				for _, w := range o.pairs[v] {
-					next[w] = struct{}{}
-				}
-			}
-			cur = next
-		}
-		el.rowsOut[i] += int64(len(cur))
-		if len(cur) == 0 {
-			return cur
-		}
-	}
-	return cur
+// codedExists returns t's coded exists set for column, charging a build to
+// the engine's index metrics.
+func (eng *engine) codedExists(t *relation.Table, column string) relation.CodeSet {
+	t0, timed := eng.buildClock()
+	s, built := t.CodedExists(eng.dict, column)
+	eng.countBuild(built, timed, t0)
+	return s
 }
 
-// feasibleStarts computes, via backward propagation over whole columns, the
-// set of start values from which the chain of a non-closed plan can be
-// satisfied. This evaluates an open path's support in time linear in the
-// total number of distinct pairs, independent of the log size.
-func feasibleStarts(pl plan) valueSet {
-	// Walk ops backward, maintaining the set of values at each boundary that
-	// can still reach the end. The final op of an open plan is opExists (or
-	// a bridge/map chain ending the path at its last instance's entry).
-	feasible := valueSet(nil) // nil means "unconstrained"
-	for i := len(pl.ops) - 1; i >= 0; i-- {
-		o := pl.ops[i]
-		switch o.kind {
-		case opExists:
-			next := make(valueSet, len(o.index))
-			for v := range o.index {
-				next[v] = struct{}{}
-			}
-			feasible = next
-		case opMap, opBridge:
-			next := make(valueSet)
-			for v, ws := range o.pairs {
-				if feasible == nil {
-					next[v] = struct{}{}
-					continue
-				}
-				for _, w := range ws {
-					if feasible.has(w) {
-						next[v] = struct{}{}
-						break
-					}
-				}
-			}
-			feasible = next
-		case opClose:
-			panic("query: feasibleStarts called on closed plan")
-		}
+// buildClock reads the clock only when observability is on.
+func (eng *engine) buildClock() (time.Time, bool) {
+	if !obs.Enabled() {
+		return time.Time{}, false
 	}
-	return feasible
+	return time.Now(), true
+}
+
+func (eng *engine) countBuild(built, timed bool, t0 time.Time) {
+	if !built {
+		return
+	}
+	eng.indexBuilds.Add(1)
+	if timed {
+		eng.indexBuildNanos.Observe(time.Since(t0).Nanoseconds())
+	}
 }
 
 // Support returns COUNT(DISTINCT Log.Lid) for the path's support query: for
@@ -572,17 +466,6 @@ func feasibleStarts(pl plan) valueSet {
 // repeated calls do not recompile.
 func (ev *Evaluator) Support(p pathmodel.Path) int {
 	return ev.Prepare(p).Support()
-}
-
-// orient returns the per-row start and end value columns for the path's
-// direction: (patients, users) for forward paths, (users, patients) for
-// backward paths.
-func (ev *Evaluator) orient(p pathmodel.Path) (starts, ends []relation.Value) {
-	pr := ev.projections()
-	if p.Forward() {
-		return pr.patients, pr.users
-	}
-	return pr.users, pr.patients
 }
 
 // ExplainedRows returns, for a closed path, a boolean per log row indicating
@@ -692,9 +575,7 @@ func (ev *Evaluator) Instances(p pathmodel.Path, logRow, limit int) []InstanceBi
 	}
 	insts := p.Instances()
 	conds := p.Conds()
-	pr := ev.projections()
-	patient := pr.patients[logRow]
-	user := pr.users[logRow]
+	patient, user := ev.logValues(logRow)
 
 	var out []InstanceBinding
 	rows := make([]int, 0, len(insts)-1)

@@ -198,8 +198,8 @@ func TestSupportMatchesNaiveOnExamples(t *testing.T) {
 		"open": mustPath(t,
 			schemagraph.Edge{From: pathmodel.StartAttr(), To: attr("Appointments", "Patient"), Kind: schemagraph.KeyFK}),
 	} {
-		if got, want := ev.Support(p), ev.SupportNaive(p); got != want {
-			t.Errorf("%s: Support = %d, SupportNaive = %d", name, got, want)
+		if got, want := ev.Support(p), ev.SupportScan(p); got != want {
+			t.Errorf("%s: Support = %d, SupportScan = %d", name, got, want)
 		}
 	}
 }
@@ -296,7 +296,7 @@ func TestEvaluatorWithSeparateAuditedLog(t *testing.T) {
 
 // TestSupportMatchesNaiveRandomized is the differential property test:
 // on random small databases and random templates from a fixed pool, the
-// optimized evaluator and the naive nested-loop evaluator must agree.
+// optimized evaluator and the index-free nested-loop SupportScan must agree.
 func TestSupportMatchesNaiveRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -305,8 +305,8 @@ func TestSupportMatchesNaiveRandomized(t *testing.T) {
 		for name, p := range map[string]pathmodel.Path{
 			"appt": apptTemplate(t), "dept": deptTemplate(t), "group": groupTemplate(t),
 		} {
-			if got, want := ev.Support(p), ev.SupportNaive(p); got != want {
-				t.Fatalf("trial %d %s: Support = %d, naive = %d", trial, name, got, want)
+			if got, want := ev.Support(p), ev.SupportScan(p); got != want {
+				t.Fatalf("trial %d %s: Support = %d, SupportScan = %d", trial, name, got, want)
 			}
 		}
 	}

@@ -13,10 +13,10 @@ import "sync/atomic"
 // per evaluation entry point plus a nil check per op visit.
 //
 // The counters describe the chain the evaluation actually walked: the
-// planner's end-side (inverted) chain when one was chosen and lazy execution
-// is on, the declared start-side ops otherwise. The two chains have the same
-// length (chooseEndSide inverts pair-by-pair), so one array serves both;
-// ExecTrace labels the snapshot with the chain the current mode executes.
+// planner's end-side (inverted) chain when one was chosen, the start-side
+// ops otherwise. The two chains have the same length (chooseEndSide inverts
+// pair-by-pair), so one array serves both; ExecTrace labels the snapshot
+// with the chain evaluation executes.
 
 // SetExecStats toggles per-op execution statistics for evaluations after
 // the call; the default is disabled. Counters accumulate on the shared plan
@@ -52,12 +52,12 @@ type OpExec struct {
 	// the close comparison).
 	RowsIn, RowsOut int64
 	// Postings counts pair-list entries the op consumed — the same events
-	// Evaluator.PostingsScanned counts, attributed per op.
+	// Evaluator.PostingsScanned counts, attributed per op. A closed plan's
+	// final pairs op is probed by binary search for the row's end value and
+	// consumes one posting per probe.
 	Postings int64
-	// MemoHits counts evaluations answered from a memo instead of walking:
-	// the lazy verdict memo at this op, or (materialized mode, eval off) the
-	// shared reach memo, charged to the first op because the whole walk was
-	// skipped.
+	// MemoHits counts evaluations answered from the verdict memo at this op
+	// instead of walking.
 	MemoHits int64
 }
 
@@ -79,10 +79,7 @@ func (pp *Prepared) ExecTrace() ExecTrace {
 	if st == nil {
 		return ExecTrace{}
 	}
-	ops, swap := pp.ent.pl.ops, false
-	if pp.ev.engine.lazyEval() {
-		ops, swap = pp.ent.pl.execOps()
-	}
+	ops, swap := pp.ent.pl.execOps()
 	tr := ExecTrace{EndSide: swap, Ops: make([]OpExec, len(ops))}
 	for i := range ops {
 		c := &st.ops[i]

@@ -99,17 +99,19 @@ func fuzzPath(f *fuzzBytes) (pathmodel.Path, bool) {
 	return p, true
 }
 
-// FuzzSupportAgreement cross-checks the three support implementations on
-// random databases and random paths, in both cache states:
+// FuzzSupportAgreement cross-checks the three support oracles on random
+// databases and random paths, in both cache states:
 //
-//   - db1 evaluates Support first (warming the hash indexes and DISTINCT
-//     projections), then the indexed nested join, then the index-free scan;
-//   - db2 holds identical data but evaluates in the opposite order, so
-//     Support runs against caches populated (or not) differently.
+//   - db1 evaluates the planned Support first (building the dictionary and
+//     the coded indexes), then the declared-order plan, then the index-free
+//     scan;
+//   - db2 holds identical data but evaluates in the opposite order, so the
+//     planned Support runs against caches populated differently.
 //
-// All five counts must agree, and for closed (open) paths Support must equal
+// All six counts must agree, and for closed (open) paths Support must equal
 // the popcount of ExplainedRows (ConnectedRows). This is the index-on ==
-// index-off oracle: SupportScan never touches the index caches at all.
+// index-off oracle: SupportScan never touches the dictionary or the index
+// caches at all.
 func FuzzSupportAgreement(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 3, 4, 1, 2, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 1, 0})
@@ -129,20 +131,22 @@ func FuzzSupportAgreement(f *testing.F) {
 		r2 := &fuzzBytes{data: data}
 		db2 := fuzzDB(r2)
 
-		ev1 := query.NewEvaluator(db1)
-		ev2 := query.NewEvaluator(db2)
+		ev1, ev2 := query.NewEvaluator(db1), query.NewEvaluator(db2)
+		decl1, decl2 := query.NewEvaluator(db1), query.NewEvaluator(db2)
+		decl1.SetPlannerEnabled(false)
+		decl2.SetPlannerEnabled(false)
 
-		s1 := ev1.Support(p)      // warms indexes + DISTINCT projections
-		n1 := ev1.SupportNaive(p) // indexed nested join, warm caches
-		x1 := ev1.SupportScan(p)  // linear scans, ignores caches
+		s1 := ev1.Support(p)     // builds the coded indexes
+		d1 := decl1.Support(p)   // declared order, warm caches
+		x1 := ev1.SupportScan(p) // linear scans, ignores caches
 
-		x2 := ev2.SupportScan(p)  // cold database, index-free first
-		n2 := ev2.SupportNaive(p) // builds entry/bridge indexes
-		s2 := ev2.Support(p)      // builds DISTINCT projections last
+		x2 := ev2.SupportScan(p) // cold database, index-free first
+		d2 := decl2.Support(p)   // declared order builds the coded indexes
+		s2 := ev2.Support(p)     // planned last
 
-		if s1 != n1 || s1 != x1 || s1 != x2 || s1 != n2 || s1 != s2 {
-			t.Fatalf("support disagreement on path %q: Support=%d/%d SupportNaive=%d/%d SupportScan=%d/%d",
-				p.String(), s1, s2, n1, n2, x1, x2)
+		if s1 != d1 || s1 != x1 || s1 != x2 || s1 != d2 || s1 != s2 {
+			t.Fatalf("support disagreement on path %q: Support=%d/%d declared=%d/%d SupportScan=%d/%d",
+				p.String(), s1, s2, d1, d2, x1, x2)
 		}
 
 		var mask []bool

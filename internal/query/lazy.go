@@ -1,232 +1,322 @@
 package query
 
-import "repro/internal/relation"
+import (
+	"slices"
+	"sync"
+)
 
-// This file is the lazy execution engine: pull-based, first-witness
-// evaluation of compiled plans, the default since the iterator refactor.
-// Where the materialized path (propagate / feasibleStarts) builds a full
-// value set per hop boundary and retains propagation results in the shared
-// reach memo, lazy execution answers each per-row question — "does this
-// row's end value lie in the start value's reach?" — with a depth-first
-// walk over the plan's pairs lists that stops at the first witness chain.
-// Nothing is retained on the engine: all memoization is call-local and
-// released when the evaluation returns, which is what drops peak retained
-// heap on deep paths by the measured multiple.
+// This file is the engine's one evaluator: pull-based, first-witness
+// execution of compiled plans over dictionary codes. Each per-row question —
+// "does this row's end value lie in its start value's reach?" for closed
+// plans, "can this row's start value complete the chain?" for open ones — is
+// answered by a depth-first walk over the plan's CSR pair lists that stops at
+// the first witness. Nothing is retained on the engine: all memoization is
+// call-local and released when the evaluation returns.
 //
-// Per-call memoization keeps lazy evaluation from degrading on dense plans:
+// Memoization keeps evaluation from degrading on dense plans, and is dense:
 //
-//   - closed plans memoize (boundary, value, end) verdicts, so a start value
-//     shared by many rows — and every intermediate value reached under the
-//     same end — is walked once per call, not once per row;
-//   - open plans memoize (boundary, value) satisfiability, which bounds a
-//     whole-log ConnectedRange by the total pairs resident in the plan
-//     (each boundary value is expanded at most once), the same bound the
-//     backward feasibleStarts pass has — but demand-driven, touching only
-//     values the audited log actually contains.
+//   - closed plans group the rows of a call by end code and memoize
+//     (boundary, value) verdicts per group, so a start value shared by many
+//     rows — and every intermediate value reached under the same end — is
+//     walked once per end, not once per row. The memo is reset between
+//     groups through the list of entries the group touched;
+//   - open plans memoize (boundary, value) satisfiability for the whole
+//     call, which bounds a whole-log ConnectedRange by the pairs resident in
+//     the plan (each boundary value is expanded at most once) while touching
+//     only values the audited log actually reaches.
 //
-// The materialized path remains fully intact as a differential oracle:
-// SetLazyEval(false) routes Prepared.Support, ExplainedRange, and
-// ConnectedRange through propagate / feasibleStarts / the reach memo
-// exactly as before, and the lazy differential tests pin the two modes —
-// plus the index-free SupportScan and the declared-order planner oracle —
-// byte-identical on the full catalog and on fuzzed random paths.
+// The memo is a flat byte array indexed by boundary * stride + code, where
+// stride covers the dictionary's size. It comes from a free list and goes
+// back to it zeroed (only touched entries are cleared), so a warm call costs
+// what it walks, never what the dictionary holds: refreshing 20 appended
+// rows touches a handful of entries however large the database is.
+//
+// The last pairs op before the close of a closed plan is not walked at all:
+// its lists are sorted, so whether they contain the row's end value is one
+// binary search, counted as one posting.
+//
+// Declared-order plans (SetPlannerEnabled(false)) and the index-free
+// SupportScan are the oracles this evaluator is tested against.
 
-// SetLazyEval toggles lazy (pull-based, first-witness) plan execution for
-// evaluations after the call; the default is enabled. Disabling it routes
-// evaluation through the materialized propagation path — the differential
-// oracle — which also re-enables the shared reach memo and feasible-start
-// memo that lazy execution deliberately leaves untouched. Compiled plans
-// are mode-independent, so toggling does not invalidate the plan cache.
-// The setting is engine-wide: every Clone shares it.
-func (ev *Evaluator) SetLazyEval(on bool) {
-	ev.engine.lazyOff.Store(!on)
-}
+// Memo verdicts; the zero value means not yet evaluated.
+const (
+	memoUnknown uint8 = iota
+	memoFalse
+	memoTrue
+)
 
-// LazyEval reports whether lazy plan execution is enabled.
-func (ev *Evaluator) LazyEval() bool { return ev.engine.lazyEval() }
+// walker is the state of one evaluation: the op chain (the planner's
+// end-side chain when one was chosen), the memo, and the per-call counters
+// flushed to the cursor and the plan's exec stats on return.
+type walker struct {
+	ops    []op
+	closed bool
+	// probe is the index of a closed plan's final pairs op, answered by
+	// binary search for end instead of a walk (-1 if there is none).
+	probe int
+	end   uint32
 
-func (eng *engine) lazyEval() bool { return !eng.lazyOff.Load() }
+	memo    []uint8
+	stride  int
+	touched []int
 
-// witnessKey memoizes one closed-plan sub-question: can value v at op
-// boundary bi reach exactly end at the close?
-type witnessKey struct {
-	bi     int
-	v, end relation.Value
-}
-
-// lazyWitness is the call-local state of one lazy closed-plan evaluation:
-// the op chain to walk (the planner's end-side chain when one was chosen),
-// the verdict memo, and the owning cursor's postings counter. It is created
-// per call and garbage once the call returns — nothing lands on the shared
-// plan entry.
-type lazyWitness struct {
-	ops     []op
-	swap    bool
-	memo    map[witnessKey]bool
-	scanned *int
+	scanned int
 	exec    *execLocal // nil unless exec stats are enabled (see exec.go)
 }
 
-func newLazyWitness(pp *Prepared) *lazyWitness {
-	ops, swap := pp.ent.pl.execOps()
-	return &lazyWitness{
-		ops:     ops,
-		swap:    swap,
-		memo:    make(map[witnessKey]bool),
-		scanned: &pp.ev.postingsScanned,
-		exec:    newExecLocal(pp.ev.engine, pp.ent.exec),
-	}
+// evalScratch is the pooled call-local state: the walker with its memo and
+// the arrays closed evaluation groups rows with. Between uses every memo
+// byte and every groupOf entry is zero.
+type evalScratch struct {
+	w walker
+
+	// groupOf maps an end code to 1 + its group index while rows are being
+	// grouped; ends lists the group keys in first-appearance order,
+	// groupStart the groups' offsets into order, which holds row numbers
+	// grouped by end.
+	groupOf    []int32
+	ends       []uint32
+	groupStart []int32
+	order      []int32
 }
 
-// explains reports whether the plan connects start to end, walking the
-// execution chain depth-first and stopping at the first witness. When the
-// planner chose end-side propagation the chain is the inverted one and the
-// roles swap; the relation is symmetric, so the verdict is identical.
-func (lw *lazyWitness) explains(start, end relation.Value) bool {
-	if lw.swap {
-		start, end = end, start
-	}
-	return lw.reaches(0, start, end)
+// scratchFree holds evaluation state between calls. It is a plain free list
+// rather than a sync.Pool so that a warm evaluation never allocates: a
+// sync.Pool may drop its entries at any garbage collection.
+var scratchFree struct {
+	sync.Mutex
+	list []*evalScratch
 }
 
-// reaches answers witnessKey{bi, v, end} with memoized depth-first search.
-// Filter ops (opExists, opClose) advance iteratively; only branching pairs
-// ops recurse and memoize.
-func (lw *lazyWitness) reaches(bi int, v, end relation.Value) bool {
-	for {
-		if bi == len(lw.ops) {
-			return v == end
+// maxFreeScratch bounds the free list; more concurrent evaluations than
+// this allocate their own state and let it go.
+const maxFreeScratch = 16
+
+// startWalk returns pooled state set up to walk ops over a dictionary of
+// dictLen codes; release returns it. Arrays grow with headroom, so a
+// dictionary that grows by a few codes per append does not reallocate them
+// on every call.
+func startWalk(ops []op, closed bool, dictLen int) *evalScratch {
+	scratchFree.Lock()
+	var s *evalScratch
+	if n := len(scratchFree.list); n > 0 {
+		s, scratchFree.list = scratchFree.list[n-1], scratchFree.list[:n-1]
+	}
+	scratchFree.Unlock()
+	if s == nil {
+		s = new(evalScratch)
+	}
+	w := &s.w
+	if dictLen > w.stride || len(ops)*w.stride > len(w.memo) {
+		if dictLen > w.stride {
+			w.stride = dictLen + dictLen/4
 		}
-		o := lw.ops[bi]
-		switch o.kind {
-		case opClose:
-			if lw.exec != nil {
-				lw.exec.rowsIn[bi]++
-				if v == end {
-					lw.exec.rowsOut[bi]++
+		w.memo = make([]uint8, max(len(ops)*w.stride, len(w.memo)))
+	}
+	if dictLen > len(s.groupOf) {
+		s.groupOf = make([]int32, w.stride)
+	}
+	w.ops, w.closed, w.probe = ops, closed, -1
+	if n := len(ops); closed && n >= 2 && isPairsOp(ops[n-2]) {
+		w.probe = n - 2
+	}
+	return s
+}
+
+// release clears the walk's memo and returns the state to the free list.
+func (s *evalScratch) release() {
+	s.w.resetMemo()
+	s.w.ops, s.w.scanned, s.w.exec = nil, 0, nil
+	scratchFree.Lock()
+	if len(scratchFree.list) < maxFreeScratch {
+		scratchFree.list = append(scratchFree.list, s)
+	}
+	scratchFree.Unlock()
+}
+
+// eval answers the prepared plan's per-row question for audited rows [lo,
+// hi), storing each verdict in out[r-lo] when out is non-nil, and returns
+// how many rows hold.
+func (pp *Prepared) eval(lo, hi int, out []bool) int {
+	eng := pp.ev.engine
+	pl := &pp.ent.pl
+	starts, ends := pp.orient()
+	ops, swap := pl.execOps()
+	if swap {
+		starts, ends = ends, starts
+	}
+	s := startWalk(ops, pl.closed, eng.dict.Len())
+	w := &s.w
+	w.exec = newExecLocal(eng, pp.ent.exec)
+
+	count := 0
+	if !pl.closed {
+		for r := lo; r < hi; r++ {
+			ok := w.reaches(0, starts[r])
+			if out != nil {
+				out[r-lo] = ok
+			}
+			if ok {
+				count++
+			}
+		}
+		w.resetMemo()
+	} else {
+		s.groupByEnd(ends, lo, hi)
+		for g, end := range s.ends {
+			w.end = end
+			for _, r := range s.order[s.groupStart[g]:s.groupStart[g+1]] {
+				ok := w.reaches(0, starts[r])
+				if out != nil {
+					out[int(r)-lo] = ok
+				}
+				if ok {
+					count++
 				}
 			}
-			return v == end
-		case opExists:
-			if lw.exec != nil {
-				lw.exec.rowsIn[bi]++
+			w.resetMemo()
+		}
+	}
+
+	pp.ev.postingsScanned += w.scanned
+	w.exec.flush()
+	s.release()
+	return count
+}
+
+// groupByEnd groups rows [lo, hi) by ends[r], keeping row order within a
+// group: afterwards group g (key s.ends[g]) holds the rows
+// s.order[s.groupStart[g]:s.groupStart[g+1]]. It runs in O(hi - lo) and
+// leaves groupOf zeroed again.
+func (s *evalScratch) groupByEnd(ends []uint32, lo, hi int) {
+	s.ends, s.groupStart = s.ends[:0], s.groupStart[:0]
+	for r := lo; r < hi; r++ {
+		e := ends[r]
+		if s.groupOf[e] == 0 {
+			s.ends = append(s.ends, e)
+			s.groupStart = append(s.groupStart, 0)
+			s.groupOf[e] = int32(len(s.ends))
+		}
+		s.groupStart[s.groupOf[e]-1]++
+	}
+	// Counts to start offsets, with one trailing end offset.
+	total := int32(0)
+	for g, c := range s.groupStart {
+		s.groupStart[g] = total
+		total += c
+	}
+	s.groupStart = append(s.groupStart, total)
+	s.order = slices.Grow(s.order[:0], hi-lo)[:hi-lo]
+	for r := lo; r < hi; r++ {
+		g := s.groupOf[ends[r]] - 1
+		// groupStart[g] doubles as the fill cursor; it is restored below.
+		s.order[s.groupStart[g]] = int32(r)
+		s.groupStart[g]++
+	}
+	for g := len(s.ends) - 1; g >= 0; g-- {
+		s.groupOf[s.ends[g]] = 0
+		if g > 0 {
+			s.groupStart[g] = s.groupStart[g-1]
+		} else {
+			s.groupStart[g] = 0
+		}
+	}
+}
+
+// resetMemo clears the memo entries set since the last reset.
+func (w *walker) resetMemo() {
+	for _, k := range w.touched {
+		w.memo[k] = memoUnknown
+	}
+	w.touched = w.touched[:0]
+}
+
+// reaches reports whether code v at op boundary bi completes the rest of
+// the chain: for closed plans, whether it reaches w.end at the close. Filter
+// ops (opExists, opClose) advance iteratively; only branching pairs ops
+// recurse and memoize.
+func (w *walker) reaches(bi int, v uint32) bool {
+	for {
+		if bi == len(w.ops) {
+			return true // an open plan's value survived every op
+		}
+		o := &w.ops[bi]
+		switch o.kind {
+		case opClose:
+			if !w.closed {
+				panic("query: open plan reached opClose")
 			}
-			if _, ok := o.index[v]; !ok {
+			if w.exec != nil {
+				w.exec.rowsIn[bi]++
+				if v == w.end {
+					w.exec.rowsOut[bi]++
+				}
+			}
+			return v == w.end
+		case opExists:
+			if w.exec != nil {
+				w.exec.rowsIn[bi]++
+			}
+			if !o.exists.Has(v) {
 				return false
 			}
-			if lw.exec != nil {
-				lw.exec.rowsOut[bi]++
+			if w.exec != nil {
+				w.exec.rowsOut[bi]++
 			}
 			bi++
 		default: // opBridge, opMap
-			key := witnessKey{bi: bi, v: v, end: end}
-			if res, ok := lw.memo[key]; ok {
-				if lw.exec != nil {
-					lw.exec.memoHits[bi]++
-				}
-				return res
+			if bi == w.probe {
+				return w.probeEnd(bi, v)
 			}
-			if lw.exec != nil {
-				lw.exec.rowsIn[bi]++
+			k := bi*w.stride + int(v)
+			if m := w.memo[k]; m != memoUnknown {
+				if w.exec != nil {
+					w.exec.memoHits[bi]++
+				}
+				return m == memoTrue
+			}
+			if w.exec != nil {
+				w.exec.rowsIn[bi]++
 			}
 			res := false
-			for _, w := range o.pairs[v] {
-				*lw.scanned++
-				if lw.exec != nil {
-					lw.exec.postings[bi]++
+			for _, x := range o.pairs.Row(v) {
+				w.scanned++
+				if w.exec != nil {
+					w.exec.postings[bi]++
 				}
-				if lw.reaches(bi+1, w, end) {
+				if w.reaches(bi+1, x) {
 					res = true
 					break
 				}
 			}
-			if res && lw.exec != nil {
-				lw.exec.rowsOut[bi]++
+			verdict := memoFalse
+			if res {
+				verdict = memoTrue
+				if w.exec != nil {
+					w.exec.rowsOut[bi]++
+				}
 			}
-			lw.memo[key] = res
+			w.memo[k] = verdict
+			w.touched = append(w.touched, k)
 			return res
 		}
 	}
 }
 
-// feasKey memoizes one open-plan sub-question: can value v at op boundary
-// bi complete the rest of the chain?
-type feasKey struct {
-	bi int
-	v  relation.Value
-}
-
-// lazyFeas is the call-local state of one lazy open-plan evaluation — the
-// demand-driven counterpart of the backward feasibleStarts pass. Like
-// lazyWitness it retains nothing on the shared plan entry, and in
-// particular it neither consults nor fills the entry's feasible-start memo.
-type lazyFeas struct {
-	ops     []op
-	memo    map[feasKey]bool
-	scanned *int
-	exec    *execLocal // nil unless exec stats are enabled (see exec.go)
-}
-
-func newLazyFeas(pp *Prepared) *lazyFeas {
-	return &lazyFeas{
-		ops:     pp.ent.pl.ops,
-		memo:    make(map[feasKey]bool),
-		scanned: &pp.ev.postingsScanned,
-		exec:    newExecLocal(pp.ev.engine, pp.ent.exec),
-	}
-}
-
-// completes reports whether v at boundary bi can satisfy the remaining
-// chain, short-circuiting at the first satisfiable branch. A value that
-// survives every op — including a trailing opExists, or a final pairs op
-// the planner pruned against an absorbed exists index — completes the path.
-func (lf *lazyFeas) completes(bi int, v relation.Value) bool {
-	for {
-		if bi == len(lf.ops) {
-			return true
-		}
-		o := lf.ops[bi]
-		switch o.kind {
-		case opClose:
-			panic("query: lazy open evaluation reached opClose")
-		case opExists:
-			if lf.exec != nil {
-				lf.exec.rowsIn[bi]++
-			}
-			if _, ok := o.index[v]; !ok {
-				return false
-			}
-			if lf.exec != nil {
-				lf.exec.rowsOut[bi]++
-			}
-			bi++
-		default: // opBridge, opMap
-			key := feasKey{bi: bi, v: v}
-			if res, ok := lf.memo[key]; ok {
-				if lf.exec != nil {
-					lf.exec.memoHits[bi]++
-				}
-				return res
-			}
-			if lf.exec != nil {
-				lf.exec.rowsIn[bi]++
-			}
-			res := false
-			for _, w := range o.pairs[v] {
-				*lf.scanned++
-				if lf.exec != nil {
-					lf.exec.postings[bi]++
-				}
-				if lf.completes(bi+1, w) {
-					res = true
-					break
-				}
-			}
-			if res && lf.exec != nil {
-				lf.exec.rowsOut[bi]++
-			}
-			lf.memo[key] = res
-			return res
+// probeEnd answers the final pairs op of a closed plan: v's sorted list
+// either contains the end code or not. When it does, the one matching value
+// flows into the close op.
+func (w *walker) probeEnd(bi int, v uint32) bool {
+	w.scanned++
+	_, ok := slices.BinarySearch(w.ops[bi].pairs.Row(v), w.end)
+	if w.exec != nil {
+		w.exec.rowsIn[bi]++
+		w.exec.postings[bi]++
+		if ok {
+			w.exec.rowsOut[bi]++
+			w.exec.rowsIn[bi+1]++
+			w.exec.rowsOut[bi+1]++
 		}
 	}
+	return ok
 }

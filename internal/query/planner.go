@@ -1,7 +1,8 @@
 package query
 
 import (
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/relation"
@@ -11,25 +12,27 @@ import (
 // lowers a path into the declared-order op chain) and the plan cache (which
 // publishes the result to every cursor). The paper's prototype evaluates
 // each explanation path's hops in exactly the order the path declares them;
-// hop order and hop width, however, dominate the size of the intermediate
-// value sets propagate builds. Following the statistics-free greedy join
-// ordering line of work, the planner restructures the chain before any
-// tuples flow, using only cardinality signals the engine already has for
-// free — the DISTINCT pair projections themselves (their key counts are the
-// tables' NumDistinct values, their totals the distinct-pair counts) and the
-// audited log's row count. No statistics are collected or maintained.
+// hop order and hop width, however, dominate how much of the pair lists an
+// evaluation walks. Following the statistics-free greedy join ordering line
+// of work, the planner restructures the chain before any tuples flow, using
+// only cardinality signals the engine already has for free — the coded
+// DISTINCT pair projections themselves (their key counts are the tables'
+// NumDistinct values, their totals the distinct-pair counts). No statistics
+// are collected or maintained. Every rewrite runs on code arrays: boundary
+// sets are bitsets, composition de-duplicates with a dense marker and sorts
+// with slices.Sort, and inversion sorts the swapped pairs into a new CSR.
 //
 // Three rewrites are applied, in order:
 //
-//  1. Backward-feasible pruning. The boundary sets feasibleStarts walks at
-//     evaluation time are computed once at plan time, and every opMap /
-//     opBridge pairs map is replaced by a private copy restricted to values
-//     that can still complete the chain. This pushes the trailing opExists
+//  1. Backward-feasible pruning. A backward pass computes, at every op
+//     boundary, the set of codes that can still complete the chain, and
+//     every opMap / opBridge CSR that loses pairs is replaced by a private
+//     copy restricted to them. This pushes the trailing opExists
 //     filter of an open plan backward through every expansion (the
 //     "boundedness before expansion" rewrite) and eliminates dead-end
 //     branches of closed plans that no subsequent hop can extend.
 //  2. Exists absorption. Once the op preceding an open plan's trailing
-//     opExists has been pruned against the exists index, the opExists
+//     opExists has been pruned against the exists set, the opExists
 //     passes everything that reaches it and is dropped.
 //  3. Greedy hop contraction. Adjacent pairs ops are relations under
 //     composition, and composition is associative, so any contraction
@@ -39,11 +42,11 @@ import (
 //     estimate — and an exact size-only pre-scan of the intermediate work —
 //     stays under a budget that is a small multiple of the pairs being
 //     replaced. Short selective chains typically collapse to a single map,
-//     making propagate one lookup instead of a walk; dense closures that
-//     would inflate manyfold are left alone.
+//     making evaluation one list probe instead of a walk; dense closures
+//     that would inflate manyfold are left alone.
 //
 // Soundness: pruning only ever consults the plan's dependency tables (the
-// pairs maps and the opExists index), never the audited log's User column.
+// pair CSRs and the opExists set), never the audited log's User column.
 // cachedPlan.deps deliberately excludes the audited log so that plans
 // survive pure log appends (the basis of incremental auditing); a plan
 // pruned against log values would go stale on append without being
@@ -88,9 +91,8 @@ type PlanInfo struct {
 	BoundaryStart, BoundaryEnd int
 
 	// EndSide reports that the planner chose end-side propagation: the end
-	// boundary is clearly smaller, so lazy execution walks the inverted
-	// chain from the row's end value instead of fanning out from its start
-	// value. The materialized oracle is unaffected by the choice.
+	// boundary is clearly smaller, so evaluation walks the inverted chain
+	// from the row's end value instead of fanning out from its start value.
 	EndSide bool
 
 	// PlanNanos is the wall time the planner spent on this plan.
@@ -113,10 +115,9 @@ func (ev *Evaluator) SetPlannerEnabled(on bool) {
 func (ev *Evaluator) PlannerEnabled() bool { return !ev.engine.plannerOff.Load() }
 
 // planPlan runs the planner on a freshly compiled plan and charges the
-// decision counters to the engine. It never mutates pl's op maps — compile
-// shares them with the tables' immutable projection caches — and the
-// returned plan is behaviorally identical to pl under propagate and
-// feasibleStarts.
+// decision counters to the engine. It never mutates pl's CSRs — compile
+// shares them with the tables' immutable index caches — and the returned
+// plan answers every per-row question exactly as pl does.
 func (ev *Evaluator) planPlan(pl plan) plan {
 	start := time.Now()
 	info := PlanInfo{
@@ -125,7 +126,7 @@ func (ev *Evaluator) planPlan(pl plan) plan {
 		PairsDeclared: totalPlanPairs(pl.ops),
 	}
 	ops := prunePairs(pl.ops, &info)
-	ops = contractHops(ops, &info)
+	ops = contractHops(ops, ev.dict.Len(), &info)
 	var rev []op
 	if pl.closed {
 		rev = chooseEndSide(ops, &info)
@@ -145,7 +146,7 @@ func (ev *Evaluator) planPlan(pl plan) plan {
 	return plan{ops: ops, rev: rev, closed: pl.closed, info: info}
 }
 
-// isPairsOp reports whether o carries a pairs map (opMap or opBridge) — the
+// isPairsOp reports whether o carries a pairs CSR (opMap or opBridge) — the
 // op forms pruning rewrites and contraction composes.
 func isPairsOp(o op) bool { return o.kind == opMap || o.kind == opBridge }
 
@@ -154,71 +155,94 @@ func totalPlanPairs(ops []op) int {
 	n := 0
 	for _, o := range ops {
 		if isPairsOp(o) {
-			for _, ws := range o.pairs {
-				n += len(ws)
-			}
+			n += len(o.pairs.Targets)
 		}
 	}
 	return n
 }
 
+// keySet returns the set of sources of c that have targets.
+func keySet(c *relation.CSR) relation.CodeSet {
+	s := make(relation.CodeSet, (int(c.Base)+c.Slots())/64+1)
+	for i := 0; i < c.Slots(); i++ {
+		if c.Offsets[i+1] > c.Offsets[i] {
+			s.Add(c.Base + uint32(i))
+		}
+	}
+	return s
+}
+
+// csrBuilder assembles a CSR from sources added in ascending code order;
+// sources without targets are skipped.
+type csrBuilder struct{ c relation.CSR }
+
+func (b *csrBuilder) add(v uint32, targets []uint32) {
+	if len(targets) == 0 {
+		return
+	}
+	if b.c.Offsets == nil {
+		b.c.Base = v
+		b.c.Offsets = []uint32{0}
+	}
+	for slot := int(v - b.c.Base); len(b.c.Offsets) < slot+1; {
+		b.c.Offsets = append(b.c.Offsets, uint32(len(b.c.Targets)))
+	}
+	b.c.Targets = append(b.c.Targets, targets...)
+	b.c.Offsets = append(b.c.Offsets, uint32(len(b.c.Targets)))
+	b.c.Keys++
+}
+
+func (b *csrBuilder) csr() *relation.CSR { return &b.c }
+
 // prunePairs walks the chain backward computing, at each op boundary, the
-// set of values that can still complete the chain — exactly the sets
-// feasibleStarts recomputes on every backward pass — and restricts each
-// pairs map to them. A nil boundary means unconstrained; the boundary
-// before opClose is deliberately left unconstrained (see the file comment:
-// the audited log is not a plan dependency). Ops whose boundary is
-// unconstrained keep their original shared map; pruned ops get private
-// copies, so the tables' caches are never touched.
+// set of codes that can still complete the chain, and restricts each pairs
+// CSR to them. The boundary before opClose is deliberately left
+// unconstrained (see the file comment: the audited log is not a plan
+// dependency). An op that loses nothing keeps its table's shared CSR; a
+// pruned op gets a private one, so the tables' caches are never touched.
 func prunePairs(ops []op, info *PlanInfo) []op {
 	out := make([]op, len(ops))
 	copy(out, ops)
 
-	var feasible valueSet // nil = unconstrained
+	var feasible relation.CodeSet
+	constrained := false
+	var kept []uint32
 	for i := len(out) - 1; i >= 0; i-- {
 		o := out[i]
 		switch o.kind {
 		case opClose:
-			feasible = nil
+			constrained = false
 		case opExists:
-			next := make(valueSet, len(o.index))
-			for v := range o.index {
-				next[v] = struct{}{}
-			}
-			feasible = next
+			feasible, constrained = o.exists, true
 		case opMap, opBridge:
-			if feasible == nil {
-				next := make(valueSet, len(o.pairs))
-				for v := range o.pairs {
-					next[v] = struct{}{}
-				}
-				feasible = next
+			if !constrained {
+				feasible, constrained = keySet(o.pairs), true
 				continue
 			}
-			pruned := make(map[relation.Value][]relation.Value, len(o.pairs))
-			next := make(valueSet, len(o.pairs))
-			for v, ws := range o.pairs {
-				var kept []relation.Value
-				for _, w := range ws {
-					if feasible.has(w) {
+			var b csrBuilder
+			dropped := 0
+			for j := 0; j < o.pairs.Slots(); j++ {
+				kept = kept[:0]
+				v := o.pairs.Base + uint32(j)
+				for _, w := range o.pairs.Row(v) {
+					if feasible.Has(w) {
 						kept = append(kept, w)
 					}
 				}
-				info.PairsPruned += len(ws) - len(kept)
-				if len(kept) == 0 {
-					continue
-				}
-				pruned[v] = kept
-				next[v] = struct{}{}
+				dropped += len(o.pairs.Row(v)) - len(kept)
+				b.add(v, kept)
 			}
-			out[i].pairs = pruned
-			feasible = next
+			info.PairsPruned += dropped
+			if dropped > 0 {
+				out[i].pairs = b.csr()
+			}
+			feasible = keySet(out[i].pairs)
 		}
 	}
 
 	// Exists absorption: the backward pass above restricted the op before a
-	// trailing opExists to values present in the exists index, so the
-	// filter now passes everything that reaches it.
+	// trailing opExists to values present in the exists set, so the filter
+	// now passes everything that reaches it.
 	if n := len(out); n >= 2 && out[n-1].kind == opExists && isPairsOp(out[n-2]) {
 		out = out[:n-1]
 		info.ExistsAbsorbed = true
@@ -226,19 +250,19 @@ func prunePairs(ops []op, info *PlanInfo) []op {
 	return out
 }
 
-// chooseEndSide decides, for a closed chain of pairs ops, which side lazy
-// execution should propagate from. Backward pruning already restricted the
-// first op's key set to the feasible starts, so the start boundary's size
-// is free; the end boundary is the distinct values the last hop can emit.
-// A closed-plan evaluation asks one (start, end) question per log row, and
-// the work of a first-witness search is governed by the fanout on the side
-// it expands — so when the end boundary is clearly smaller (strictly less
-// than half the start boundary), the planner inverts each pairs map and
-// publishes the reversed chain for lazy execution to walk from the row's
-// end value. Inversion is exact — (v, w) holds iff (w, v) holds in the
-// inverse — so the explained row set is identical by symmetry, which the
-// lazy differential tests pin. Plans containing non-pairs interior ops are
-// left alone, and the materialized oracle always evaluates start-side.
+// chooseEndSide decides, for a closed chain of pairs ops, which side
+// evaluation should propagate from. Backward pruning already restricted the
+// first op's sources to the feasible starts, so the start boundary's size is
+// free; the end boundary is the distinct codes the last hop can emit. A
+// closed-plan evaluation asks one (start, end) question per log row, and the
+// work of a first-witness search is governed by the fanout on the side it
+// expands — so when the end boundary is clearly smaller (strictly less than
+// half the start boundary), the planner inverts each pairs CSR and publishes
+// the reversed chain for evaluation to walk from the row's end value.
+// Inversion is exact — (v, w) holds iff (w, v) holds in the inverse — so the
+// explained row set is identical by symmetry, which the differential tests
+// pin against declared order and SupportScan. Plans containing non-pairs
+// interior ops are left alone.
 func chooseEndSide(ops []op, info *PlanInfo) []op {
 	n := len(ops)
 	if n < 2 || ops[n-1].kind != opClose {
@@ -249,13 +273,11 @@ func chooseEndSide(ops []op, info *PlanInfo) []op {
 			return nil
 		}
 	}
-	ends := make(valueSet)
-	for _, ws := range ops[n-2].pairs {
-		for _, w := range ws {
-			ends[w] = struct{}{}
-		}
+	var ends relation.CodeSet
+	for _, w := range ops[n-2].pairs.Targets {
+		ends.Add(w)
 	}
-	info.BoundaryStart, info.BoundaryEnd = len(ops[0].pairs), len(ends)
+	info.BoundaryStart, info.BoundaryEnd = ops[0].pairs.Keys, ends.Count()
 	if info.BoundaryEnd == 0 || 2*info.BoundaryEnd > info.BoundaryStart {
 		return nil
 	}
@@ -267,56 +289,44 @@ func chooseEndSide(ops []op, info *PlanInfo) []op {
 	return append(rev, op{kind: opClose})
 }
 
-// invertPairs materializes the inverse of a pairs map with sorted value
-// lists. A DISTINCT projection has no duplicate (v, w) pairs, so the
-// inverse needs no de-duplication.
-func invertPairs(m map[relation.Value][]relation.Value) map[relation.Value][]relation.Value {
-	inv := make(map[relation.Value][]relation.Value, len(m))
-	for v, ws := range m {
-		for _, w := range ws {
-			inv[w] = append(inv[w], v)
+// invertPairs returns the inverse relation of c: every (v, w) pair as
+// (w, v).
+func invertPairs(c *relation.CSR) *relation.CSR {
+	pairs := make([]uint64, 0, len(c.Targets))
+	for j := 0; j < c.Slots(); j++ {
+		v := c.Base + uint32(j)
+		for _, w := range c.Row(v) {
+			pairs = append(pairs, uint64(w)<<32|uint64(v))
 		}
 	}
-	for w := range inv {
-		vs := inv[w]
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Less(vs[j]) })
-	}
-	return inv
+	return relation.NewCSR(pairs)
 }
 
 // contractionBudget bounds one candidate composition a ; b: a small
 // multiple of the pairs resident in the two hops being replaced, floored so
 // tiny plans always contract. The budget is deliberately relative to the
 // hops themselves, not to the audited log — a contraction is profitable
-// when the composed map costs about what the hops it replaces cost, and a
+// when the composed CSR costs about what the hops it replaces cost, and a
 // composition that inflates its inputs manyfold (dense self-join closures
 // like collaborative groups) loses more in materialization and list-scan
 // width than it saves in hop count, no matter how large the log is.
-func contractionBudget(a, b map[relation.Value][]relation.Value) float64 {
-	m := totalMapPairs(a) + totalMapPairs(b)
+func contractionBudget(a, b *relation.CSR) float64 {
+	m := len(a.Targets) + len(b.Targets)
 	if m < 512 {
 		m = 512
 	}
 	return float64(8 * m)
 }
 
-func totalMapPairs(m map[relation.Value][]relation.Value) int {
-	n := 0
-	for _, ws := range m {
-		n += len(ws)
-	}
-	return n
-}
-
 // estComposed is the independence estimate of |a compose b|: every pair of
-// a fans out through b's average fanout. It uses only the projections'
-// own cardinalities — no statistics are kept.
-func estComposed(a, b map[relation.Value][]relation.Value) float64 {
-	if len(b) == 0 || len(a) == 0 {
+// a fans out through b's average fanout. It uses only the CSRs' own
+// cardinalities — no statistics are kept.
+func estComposed(a, b *relation.CSR) float64 {
+	if b.Keys == 0 || a.Keys == 0 {
 		return 0
 	}
-	fanout := float64(totalMapPairs(b)) / float64(len(b))
-	return float64(totalMapPairs(a)) * fanout
+	fanout := float64(len(b.Targets)) / float64(b.Keys)
+	return float64(len(a.Targets)) * fanout
 }
 
 // contractHops greedily composes adjacent pairs ops, smallest estimated
@@ -325,15 +335,22 @@ func estComposed(a, b map[relation.Value][]relation.Value) float64 {
 // start-to-end relation; terminal opExists / opClose ops are never touched.
 //
 // The independence estimate picks which pair to attempt, but it can
-// undershoot badly when the right map's lists overlap heavily (many left
+// undershoot badly when the right CSR's lists overlap heavily (many left
 // values fanning into the same dense groups): the composition then touches
 // far more intermediate pairs than it keeps. So before materializing, the
 // chosen pair's exact intermediate work is computed with a size-only
 // pre-scan (composeWork) and checked against its budget — a doomed
-// composition is rejected for the cost of scanning the left map's lists,
-// and its position is blocked from further attempts.
-func contractHops(ops []op, info *PlanInfo) []op {
+// composition is rejected for the cost of scanning the left CSR's lists,
+// and its position is blocked from further attempts. dictLen sizes the
+// dense marker composition de-duplicates with.
+func contractHops(ops []op, dictLen int, info *PlanInfo) []op {
 	blocked := make(map[int]bool) // positions whose composition blew their budget
+	var mark *marker
+	defer func() {
+		if mark != nil {
+			markerPool.Put(mark)
+		}
+	}()
 	for {
 		best, bestEst := -1, 0.0
 		for i := 0; i+1 < len(ops); i++ {
@@ -353,10 +370,13 @@ func contractHops(ops []op, info *PlanInfo) []op {
 			blocked[best] = true
 			continue
 		}
+		if mark == nil {
+			mark = getMarker(dictLen)
+		}
 		ops[best] = op{
 			kind:  opMap,
 			table: ops[best].table + "*" + ops[best+1].table,
-			pairs: composePairs(ops[best].pairs, ops[best+1].pairs),
+			pairs: composePairs(ops[best].pairs, ops[best+1].pairs, mark),
 		}
 		ops = append(ops[:best+1], ops[best+2:]...)
 		info.Contractions++
@@ -369,38 +389,71 @@ func contractHops(ops []op, info *PlanInfo) []op {
 // only list-length lookups, never building anything, so it is cheap even
 // when the answer is enormous — the admission check that keeps a bad
 // independence estimate from turning into a planning-time blowup.
-func composeWork(a, b map[relation.Value][]relation.Value) int {
+func composeWork(a, b *relation.CSR) int {
 	work := 0
-	for _, ws := range a {
-		for _, w := range ws {
-			work += len(b[w])
-		}
+	for _, w := range a.Targets {
+		work += len(b.Row(w))
 	}
 	return work
 }
 
-// composePairs materializes the relational composition a ; b as a fresh
-// pairs map with sorted, de-duplicated value lists — the same shape
-// relation.Table.DistinctPairs produces, so a contracted hop is
-// indistinguishable from a declared one downstream.
-func composePairs(a, b map[relation.Value][]relation.Value) map[relation.Value][]relation.Value {
-	out := make(map[relation.Value][]relation.Value, len(a))
-	for v, ws := range a {
-		set := make(map[relation.Value]struct{})
-		for _, w := range ws {
-			for _, x := range b[w] {
-				set[x] = struct{}{}
+// composePairs materializes the relational composition a ; b as a fresh CSR
+// with sorted, de-duplicated lists — the same shape the tables' coded pair
+// indexes have, so a contracted hop is indistinguishable from a declared
+// one downstream. mark de-duplicates each source's list.
+func composePairs(a, b *relation.CSR, mark *marker) *relation.CSR {
+	var out csrBuilder
+	var xs []uint32
+	for j := 0; j < a.Slots(); j++ {
+		v := a.Base + uint32(j)
+		mark.reset()
+		xs = xs[:0]
+		for _, w := range a.Row(v) {
+			for _, x := range b.Row(w) {
+				if mark.add(x) {
+					xs = append(xs, x)
+				}
 			}
 		}
-		if len(set) == 0 {
-			continue
-		}
-		xs := make([]relation.Value, 0, len(set))
-		for x := range set {
-			xs = append(xs, x)
-		}
-		sort.Slice(xs, func(i, j int) bool { return xs[i].Less(xs[j]) })
-		out[v] = xs
+		slices.Sort(xs)
+		out.add(v, xs)
 	}
-	return out
+	return out.csr()
+}
+
+// marker is a dense set over dictionary codes that empties in O(1): x is in
+// the set iff seen[x] holds the current stamp. Markers are pooled, so
+// planning does not allocate one dictionary-sized array per plan.
+type marker struct {
+	seen  []uint32
+	stamp uint32
+}
+
+var markerPool = sync.Pool{New: func() any { return new(marker) }}
+
+// getMarker returns a pooled marker covering codes below dictLen.
+func getMarker(dictLen int) *marker {
+	m := markerPool.Get().(*marker)
+	if len(m.seen) < dictLen {
+		m.seen, m.stamp = make([]uint32, dictLen), 0
+	}
+	return m
+}
+
+// reset empties the set.
+func (m *marker) reset() {
+	m.stamp++
+	if m.stamp == 0 { // wrapped: old stamps could collide
+		clear(m.seen)
+		m.stamp = 1
+	}
+}
+
+// add inserts x and reports whether it was absent.
+func (m *marker) add(x uint32) bool {
+	if m.seen[x] == m.stamp {
+		return false
+	}
+	m.seen[x] = m.stamp
+	return true
 }

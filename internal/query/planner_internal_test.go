@@ -86,8 +86,8 @@ func plannerClosedPath(t *testing.T) pathmodel.Path {
 // TestPlannerRewritesOpenPlan pins the planner's rewrites on the open
 // chain: the trailing opExists is pushed backward (pruning both hops down
 // to the values that can reach B), absorbed, and the two surviving pairs
-// ops are greedily contracted into one — while feasibleStarts stays
-// identical to the declared-order chain's.
+// ops are greedily contracted into one — while the set of start codes that
+// complete the chain stays identical to the declared-order chain's.
 func TestPlannerRewritesOpenPlan(t *testing.T) {
 	ev := NewEvaluator(plannerDB())
 	declared := ev.compile(plannerOpenPath(t))
@@ -111,19 +111,55 @@ func TestPlannerRewritesOpenPlan(t *testing.T) {
 	if info.PairsPruned != 5 {
 		t.Errorf("pairs pruned = %d, want 5", info.PairsPruned)
 	}
-	if got, want := feasibleStarts(planned), feasibleStarts(declared); !reflect.DeepEqual(got, want) {
-		t.Errorf("feasibleStarts differ: planned %v, declared %v", got, want)
+	got, want := feasibleCodes(ev, planned), feasibleCodes(ev, declared)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("feasible starts differ: planned %v, declared %v", got, want)
 	}
-	if f := feasibleStarts(planned); len(f) != 1 || !f.has(relation.Int(1)) {
-		t.Errorf("feasible starts = %v, want {1}", f)
+	if one := mustCode(t, ev, relation.Int(1)); !reflect.DeepEqual(got, []uint32{one}) {
+		t.Errorf("feasible starts = %v, want {code of 1} = {%d}", got, one)
 	}
+}
+
+// walkPlan answers one per-row question directly on pl with the engine's
+// walker: whether start completes an open plan, or reaches end at a closed
+// plan's close.
+func walkPlan(ev *Evaluator, pl plan, start, end uint32) bool {
+	ops, swap := pl.execOps()
+	if swap {
+		start, end = end, start
+	}
+	s := startWalk(ops, pl.closed, ev.dict.Len()+1)
+	defer s.release()
+	s.w.end = end
+	return s.w.reaches(0, start)
+}
+
+// feasibleCodes lists the start codes (every dictionary code plus one past
+// the end) that complete the open plan pl.
+func feasibleCodes(ev *Evaluator, pl plan) []uint32 {
+	var out []uint32
+	for c := uint32(0); c <= uint32(ev.dict.Len()); c++ {
+		if walkPlan(ev, pl, c, 0) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func mustCode(t *testing.T, ev *Evaluator, v relation.Value) uint32 {
+	t.Helper()
+	c, ok := ev.dict.Code(v)
+	if !ok {
+		t.Fatalf("value %v not in the dictionary", v)
+	}
+	return c
 }
 
 // TestPlannerRewritesClosedPlan pins the closed chain: the boundary before
 // opClose stays unconstrained (the audited log is not a plan dependency, so
 // pruning must never consult its User values), the two hops contract, and
-// propagate yields identical reach sets for every start value — present in
-// the data or not.
+// the planned and declared chains answer every (start, end) question
+// identically — for every code in the dictionary and one past it.
 func TestPlannerRewritesClosedPlan(t *testing.T) {
 	ev := NewEvaluator(plannerDB())
 	declared := ev.compile(plannerClosedPath(t))
@@ -145,12 +181,16 @@ func TestPlannerRewritesClosedPlan(t *testing.T) {
 	if info.PairsPruned != 0 {
 		t.Errorf("pairs pruned = %d, want 0 on a fully-connected closed chain", info.PairsPruned)
 	}
-	for _, start := range []int64{1, 2, 3, 4, 100} {
-		sv := relation.Int(start)
-		got, want := propagate(planned, sv), propagate(declared, sv)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("propagate(%d): planned %v, declared %v", start, got, want)
+	n := uint32(ev.dict.Len())
+	for start := uint32(0); start <= n; start++ {
+		for end := uint32(0); end <= n; end++ {
+			if got, want := walkPlan(ev, planned, start, end), walkPlan(ev, declared, start, end); got != want {
+				t.Errorf("(%d, %d): planned %v, declared %v", start, end, got, want)
+			}
 		}
+	}
+	if !walkPlan(ev, planned, mustCode(t, ev, relation.Int(1)), mustCode(t, ev, relation.Int(300))) {
+		t.Error("planned chain lost patient 1 -> doctor 30 -> user 300")
 	}
 }
 
@@ -181,56 +221,5 @@ func TestPlannerDisabledKeepsDeclaredOrder(t *testing.T) {
 	st := ev.PlanCacheStats()
 	if st.PlansPlanned != 1 || st.PlanContractions != 1 || st.PlanPairsPruned != 5 {
 		t.Errorf("stats = %+v, want 1 plan, 1 contraction, 5 pairs pruned", st)
-	}
-}
-
-// TestSupportReusesFeasMemo is the counter-based regression for the open
-// path Support memo: Support must run its own backward pass while the
-// shared memo is cold (never pinning a set for what may be a mined
-// candidate), and must reuse the memo — zero further backward passes — once
-// a ConnectedRange caller has populated it.
-func TestSupportReusesFeasMemo(t *testing.T) {
-	ev := NewEvaluator(plannerDB())
-	// The feas memo and backward-pass counter are materialized-path
-	// observables; lazy execution answers open paths demand-driven without
-	// touching either, so this test pins the oracle mode.
-	ev.SetLazyEval(false)
-	pp := ev.Prepare(plannerOpenPath(t))
-	eng := ev.engine
-
-	base := eng.backwardPasses.Value()
-	s1 := pp.Support()
-	s2 := pp.Support()
-	if got := eng.backwardPasses.Value() - base; got != 2 {
-		t.Errorf("cold-memo Support ran %d backward passes over 2 calls, want 2 (call-local)", got)
-	}
-	if pp.ent.feasDone.Load() {
-		t.Error("Support pinned the shared feas memo")
-	}
-
-	rows := pp.ConnectedRows()
-	if got := eng.backwardPasses.Value() - base; got != 3 {
-		t.Errorf("ConnectedRows brought backward passes to %d, want 3", got)
-	}
-	if !pp.ent.feasDone.Load() {
-		t.Fatal("ConnectedRows did not publish the feas memo")
-	}
-
-	s3 := pp.Support()
-	s4 := pp.Support()
-	if got := eng.backwardPasses.Value() - base; got != 3 {
-		t.Errorf("warm-memo Support reran the backward pass (total %d, want 3)", got)
-	}
-
-	pop := 0
-	for _, b := range rows {
-		if b {
-			pop++
-		}
-	}
-	for i, s := range []int{s1, s2, s3, s4} {
-		if s != pop {
-			t.Errorf("Support call %d = %d, want mask popcount %d", i+1, s, pop)
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -16,9 +15,7 @@ import (
 // handle returned by Evaluator.Prepare. The compiled plan behind it lives in
 // the engine-level plan cache and is shared by every cursor cloned from the
 // same evaluator, so preparing the same path (or any path with the same
-// canonical condition set) on any cursor reuses one compilation, and the
-// backward feasibleStarts set of an open plan is likewise computed once and
-// shared.
+// canonical condition set) on any cursor reuses one compilation.
 //
 // A Prepared is as concurrency-safe as the cursor it came from: the shared
 // plan entry may be read from any number of goroutines, but the handle
@@ -44,8 +41,8 @@ type Prepared struct {
 // drops the whole cache, while row appends invalidate only the entries
 // whose compiled plans snapshotted the appended table (each entry records
 // the version of every table it read at compile time). Appending audited
-// log rows therefore costs nothing here: plans, feasible-start sets, and
-// reach memos all survive, and only the log-column projections extend.
+// log rows therefore costs nothing here: plans survive, and only the coded
+// log-column projections extend.
 // Callers holding a *Prepared across a mutation should re-Prepare — the
 // handle pins its compile-time snapshot.
 func (ev *Evaluator) Prepare(p pathmodel.Path) *Prepared {
@@ -128,14 +125,14 @@ func (pp *Prepared) Closed() bool { return pp.ent.pl.closed }
 // the declared-order chain (planner disabled).
 func (pp *Prepared) PlanInfo() PlanInfo { return pp.ent.pl.info }
 
-// orient returns the per-row start and end columns for the orientation the
+// orient returns the per-row start and end codes for the orientation the
 // shared plan was compiled in. Two paths with equal canonical keys can
 // differ in orientation (a closed path and its reverse impose the same
 // condition set); the plan's own orientation is the one its ops expect, and
 // the explained/connected row set is orientation-invariant, so results are
 // identical either way. The snapshot covers every audited row, including
 // ones appended after the handle was prepared (see engine.projections).
-func (pp *Prepared) orient() (starts, ends []relation.Value) {
+func (pp *Prepared) orient() (starts, ends []uint32) {
 	pr := pp.ev.projections()
 	if pp.ent.forward {
 		return pr.patients, pr.users
@@ -143,101 +140,27 @@ func (pp *Prepared) orient() (starts, ends []relation.Value) {
 	return pr.users, pr.patients
 }
 
-// feasible returns the open plan's feasible-start set, computing it once per
-// cache entry and sharing it across all cursors. feasDone is published after
-// the set so Support's opportunistic peek never observes a half-written
-// memo.
-func (pp *Prepared) feasible() valueSet {
-	ent := pp.ent
-	ent.feasOnce.Do(func() {
-		ent.feas = pp.ev.engine.backwardPass(ent.pl)
-		ent.feasDone.Store(true)
-	})
-	return ent.feas
-}
-
 // checkRange validates a half-open row range against the audited log.
 func (pp *Prepared) checkRange(lo, hi int) {
-	if n := len(pp.ev.projections().patients); lo < 0 || hi < lo || hi > n {
+	if n := pp.ev.numRows(); lo < 0 || hi < lo || hi > n {
 		panic(fmt.Sprintf("query: range [%d, %d) out of bounds for %d log rows",
 			lo, hi, n))
 	}
 }
 
 // Support returns COUNT(DISTINCT Log.Lid) of the prepared path's support
-// query, exactly as Evaluator.Support but without recompiling. Its
-// propagation state (the open path's feasible-start set, the closed path's
-// reach memo) is call-local rather than cached on the shared plan entry —
-// see the cachedPlan comment for why.
+// query, exactly as Evaluator.Support but without recompiling. Like every
+// evaluation it keeps its memo call-local: nothing is retained on the shared
+// plan entry.
 func (pp *Prepared) Support() int {
 	pp.ev.queriesEvaluated++
-	starts, ends := pp.orient()
-	lazy := pp.ev.engine.lazyEval()
-	if !pp.ent.pl.closed {
-		if lazy {
-			// Demand-driven satisfiability with a call-local memo: each
-			// boundary value the log reaches is expanded at most once, and
-			// nothing is pinned on the shared entry.
-			lf := newLazyFeas(pp)
-			n := 0
-			for _, sv := range starts {
-				if lf.completes(0, sv) {
-					n++
-				}
-			}
-			lf.exec.flush()
-			return n
-		}
-		// Reuse the shared feasible-start memo when a ConnectedRange caller
-		// already populated it — the backward pass is the whole cost of an
-		// open-path support query. When the memo is cold, compute the set
-		// call-local instead of filling it: Support is the miner's hot path,
-		// and pinning a feasible-start set for every mined candidate in an
-		// engine-lifetime entry would grow memory without bound.
-		var f valueSet
-		if pp.ent.feasDone.Load() {
-			f = pp.ent.feas
-		} else {
-			f = pp.ev.engine.backwardPass(pp.ent.pl)
-		}
-		n := 0
-		for _, sv := range starts {
-			if f.has(sv) {
-				n++
-			}
-		}
-		return n
-	}
-	if lazy {
-		lw := newLazyWitness(pp)
-		n := 0
-		for r, sv := range starts {
-			if lw.explains(sv, ends[r]) {
-				n++
-			}
-		}
-		lw.exec.flush()
-		return n
-	}
-	reach := make(map[relation.Value]valueSet)
-	n := 0
-	for r, sv := range starts {
-		set, ok := reach[sv]
-		if !ok {
-			set = propagate(pp.ent.pl, sv)
-			reach[sv] = set
-		}
-		if set.has(ends[r]) {
-			n++
-		}
-	}
-	return n
+	return pp.eval(0, pp.ev.numRows(), nil)
 }
 
 // ExplainedRows returns one boolean per log row: whether the closed path
 // explains that access. It panics on open paths.
 func (pp *Prepared) ExplainedRows() []bool {
-	return pp.ExplainedRange(0, len(pp.ev.projections().patients))
+	return pp.ExplainedRange(0, pp.ev.numRows())
 }
 
 // ExplainedRange evaluates the closed path over the half-open log-row range
@@ -250,70 +173,30 @@ func (pp *Prepared) ExplainedRange(lo, hi int) []bool {
 	if !pp.ent.pl.closed {
 		panic("query: ExplainedRange requires a closed path")
 	}
-	pp.checkRange(lo, hi)
-	pp.ev.queriesEvaluated++
-	starts, ends := pp.orient()
-	out := make([]bool, hi-lo)
-	if pp.ev.engine.lazyEval() {
-		// First-witness search per row with a call-local memo; the shared
-		// reach memo is neither consulted nor filled, so a range evaluation
-		// retains nothing on the engine once it returns.
-		lw := newLazyWitness(pp)
-		for r := lo; r < hi; r++ {
-			out[r-lo] = lw.explains(starts[r], ends[r])
-		}
-		lw.exec.flush()
-		return out
-	}
-	el := newExecLocal(pp.ev.engine, pp.ent.exec)
-	for r := lo; r < hi; r++ {
-		sv := starts[r]
-		set, ok := pp.ent.reach.get(sv)
-		if !ok {
-			set = propagateExec(pp.ent.pl, sv, el)
-			pp.ent.reach.put(sv, set)
-		} else if el != nil {
-			// A reach-memo hit skips the whole walk; charge it to the first
-			// op, where the walk would have started.
-			el.memoHits[0]++
-		}
-		out[r-lo] = set.has(ends[r])
-	}
-	el.flush()
-	return out
+	return pp.rangeMask(lo, hi)
 }
 
 // ConnectedRows returns one boolean per log row: whether the open path's
 // start value can begin a satisfiable chain. It panics on closed paths.
 func (pp *Prepared) ConnectedRows() []bool {
-	return pp.ConnectedRange(0, len(pp.ev.projections().patients))
+	return pp.ConnectedRange(0, pp.ev.numRows())
 }
 
 // ConnectedRange is the range form of ConnectedRows over [lo, hi): element i
-// is ConnectedRows()[lo+i]. The feasible-start set is computed once per
-// shared plan entry, so sharding an indicator across workers costs one
-// backward propagation total, not one per shard. It panics on closed paths
-// and out-of-bounds ranges.
+// is ConnectedRows()[lo+i]. It panics on closed paths and out-of-bounds
+// ranges.
 func (pp *Prepared) ConnectedRange(lo, hi int) []bool {
 	if pp.ent.pl.closed {
 		panic("query: ConnectedRange requires an open path")
 	}
+	return pp.rangeMask(lo, hi)
+}
+
+func (pp *Prepared) rangeMask(lo, hi int) []bool {
 	pp.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
-	starts, _ := pp.orient()
 	out := make([]bool, hi-lo)
-	if pp.ev.engine.lazyEval() {
-		lf := newLazyFeas(pp)
-		for r := lo; r < hi; r++ {
-			out[r-lo] = lf.completes(0, starts[r])
-		}
-		lf.exec.flush()
-		return out
-	}
-	f := pp.feasible()
-	for r := lo; r < hi; r++ {
-		out[r-lo] = f.has(starts[r])
-	}
+	pp.eval(lo, hi, out)
 	return out
 }
 
@@ -323,11 +206,11 @@ func (pp *Prepared) Instances(logRow, limit int) []InstanceBinding {
 	return pp.ev.Instances(pp.path, logRow, limit)
 }
 
-// cachedPlan is one entry of the engine-level plan cache: the compiled plan,
-// the orientation it was compiled in, and (for open plans, lazily) the
-// backward feasibleStarts set. Entries are installed empty under the cache
-// lock and filled exactly once via compileOnce, so concurrent Prepare calls
-// for the same key block on one compilation instead of duplicating it.
+// cachedPlan is one entry of the engine-level plan cache: the compiled plan
+// and the orientation it was compiled in. Entries are installed empty under
+// the cache lock and filled exactly once via compileOnce, so concurrent
+// Prepare calls for the same key block on one compilation instead of
+// duplicating it.
 type cachedPlan struct {
 	compileOnce sync.Once
 	pl          plan
@@ -341,39 +224,12 @@ type cachedPlan struct {
 	// deps records, per table the compilation read, the table's version at
 	// compile time (written inside compileOnce, so visible to every
 	// goroutine that has passed the Once). A mismatch with the table's
-	// current version means the plan's snapshotted indexes and DISTINCT
-	// projections are stale; Prepare then drops this entry alone. Plans
-	// whose dependencies did not change — in particular every plan during a
-	// pure audited-log append — stay cached along with their feasible-start
-	// sets and reach memos, which is what makes incremental auditing O(new
-	// rows) rather than O(recompile + re-propagate).
+	// current version means the plan's snapshotted coded indexes are stale;
+	// Prepare then drops this entry alone. Plans whose dependencies did not
+	// change — in particular every plan during a pure audited-log append —
+	// stay cached, which is what makes incremental auditing O(new rows)
+	// rather than O(recompile).
 	deps []planDep
-
-	// feas memoizes the open plan's backward feasible-start set; reach
-	// memoizes forward propagation for closed plans (start value ->
-	// reachable end-value set). Both are shared by every cursor and shard,
-	// so when a template's mask is sharded across workers, the backward
-	// pass runs once and a patient whose rows span several shards is
-	// propagated once, not once per shard — without this, row-range
-	// sharding would redo most of the propagation work in every shard and
-	// scale poorly. The reach memo is bounded (engine reachCap, clock
-	// eviction — see reachCache) so a plan entry retains a working set, not
-	// one propagation per distinct start value for its whole life. Only the
-	// row-classification paths (ExplainedRows / ExplainedRange /
-	// ConnectedRows / ConnectedRange) populate it; Support keeps its
-	// propagation call-local because the miner's canonical-key support
-	// cache already ensures each candidate condition set is evaluated once,
-	// and pinning propagation sets for every mined candidate in an
-	// engine-lifetime cache would grow memory without bound. Racing workers
-	// may duplicate a reach propagation; the first put wins, and propagate
-	// is deterministic, so results are identical.
-	feasOnce sync.Once
-	feas     valueSet
-	// feasDone is set (after feas, inside the Once) when the shared memo is
-	// populated; Support peeks it to reuse the memo without ever filling it,
-	// and the atomic orders the peek against the Once body's write.
-	feasDone atomic.Bool
-	reach    *reachCache
 }
 
 // planDep is one compile-time table dependency of a cached plan.
@@ -433,7 +289,7 @@ func (eng *engine) planEntry(key string) *cachedPlan {
 		return ent
 	}
 	eng.planMisses.Add(1)
-	ent := &cachedPlan{reach: newReachCache(int(eng.reachCap.Load()), eng.reachEvictions)}
+	ent := &cachedPlan{}
 	eng.plans[key] = ent
 	return ent
 }
@@ -470,30 +326,21 @@ func (ev *Evaluator) PlanCacheKeys() []string {
 }
 
 // PlanCacheStats is a snapshot of the engine-wide plan-cache counters:
-// lookup hits/misses, plus the bounded reach memo's eviction count, resident
-// entry total, and configured per-plan cap.
+// lookup hits/misses, the planner's decision aggregates, and the coded
+// index layer's size and build count.
 type PlanCacheStats struct {
 	// Hits and Misses count plan-cache lookups (Prepare calls) across every
 	// cursor sharing the engine.
 	Hits, Misses int64
-	// ReachEvictions counts reach-memo entries evicted under the cap, summed
-	// over all plans for the life of the engine (it survives cache
-	// invalidation).
-	ReachEvictions int64
-	// ReachEntries is the number of propagation results currently resident
-	// across all cached plans' reach memos.
-	ReachEntries int
-	// ReachCap is the configured per-plan bound (0 = unbounded); see
-	// SetReachMemoCap.
-	ReachCap int
 
-	// ReachCapMin and ReachCapMax bound the per-engine caps folded into an
-	// aggregate snapshot; a single engine reports its own cap in both. They
-	// recover the range the -1 "mixed" ReachCap sentinel discards, so a
-	// federated display can still say what the shards are configured with.
-	// Aggregate with Add starting from a real snapshot, not the zero value —
-	// a zero-valued term would fold a spurious 0 into the min.
-	ReachCapMin, ReachCapMax int
+	// DictValues is the number of values in the database's dictionary
+	// (query.dict.values). Shard engines over one database share one
+	// dictionary, so an aggregate keeps the largest rather than a sum.
+	DictValues int64
+	// IndexBuilds counts the coded indexes (CSR pair lists and exists sets)
+	// the engine's compilations built rather than found cached on their
+	// tables (query.index.builds).
+	IndexBuilds int64
 
 	// Planner aggregates (see planner.go): plans run through the planner
 	// stage, greedy hop contractions applied, pairs dropped by
@@ -518,18 +365,14 @@ type PlanCacheStats struct {
 
 // Add returns the element-wise aggregate of two snapshots: counters sum,
 // which is how a federation folds the plan caches of its per-shard engines
-// into one logical view. ReachCap is a configuration, not a counter: it is
-// kept when both snapshots agree and becomes -1 ("mixed") when they differ,
-// so an aggregate never silently reports one shard's cap as everyone's.
+// into one logical view. DictValues is a size, not a counter: the aggregate
+// keeps the larger.
 func (s PlanCacheStats) Add(o PlanCacheStats) PlanCacheStats {
-	out := PlanCacheStats{
+	return PlanCacheStats{
 		Hits:             s.Hits + o.Hits,
 		Misses:           s.Misses + o.Misses,
-		ReachEvictions:   s.ReachEvictions + o.ReachEvictions,
-		ReachEntries:     s.ReachEntries + o.ReachEntries,
-		ReachCap:         s.ReachCap,
-		ReachCapMin:      min(s.ReachCapMin, o.ReachCapMin),
-		ReachCapMax:      max(s.ReachCapMax, o.ReachCapMax),
+		DictValues:       max(s.DictValues, o.DictValues),
+		IndexBuilds:      s.IndexBuilds + o.IndexBuilds,
 		PlansPlanned:     s.PlansPlanned + o.PlansPlanned,
 		PlanContractions: s.PlanContractions + o.PlanContractions,
 		PlanPairsPruned:  s.PlanPairsPruned + o.PlanPairsPruned,
@@ -539,10 +382,6 @@ func (s PlanCacheStats) Add(o PlanCacheStats) PlanCacheStats {
 		MaskRecomputes:   s.MaskRecomputes + o.MaskRecomputes,
 		MaskExtensions:   s.MaskExtensions + o.MaskExtensions,
 	}
-	if s.ReachCap != o.ReachCap {
-		out.ReachCap = -1
-	}
-	return out
 }
 
 // PlanCacheStats returns the engine-wide plan-cache counters. Unlike the
@@ -550,26 +389,15 @@ func (s PlanCacheStats) Add(o PlanCacheStats) PlanCacheStats {
 // cursor counts here.
 func (ev *Evaluator) PlanCacheStats() PlanCacheStats {
 	eng := ev.engine
-	cap := int(eng.reachCap.Load())
-	st := PlanCacheStats{
+	return PlanCacheStats{
 		Hits:             eng.planHits.Value(),
 		Misses:           eng.planMisses.Value(),
-		ReachEvictions:   eng.reachEvictions.Value(),
-		ReachCap:         cap,
-		ReachCapMin:      cap,
-		ReachCapMax:      cap,
+		DictValues:       int64(eng.dict.Len()),
+		IndexBuilds:      eng.indexBuilds.Value(),
 		PlansPlanned:     eng.plansPlanned.Value(),
 		PlanContractions: eng.planContractions.Value(),
 		PlanPairsPruned:  eng.planPairsPruned.Value(),
 		PlanEndSide:      eng.planEndSide.Value(),
 		PlanNanos:        eng.planNanos.Value(),
 	}
-	eng.planMu.RLock()
-	for _, ent := range eng.plans {
-		if ent.reach != nil {
-			st.ReachEntries += ent.reach.len()
-		}
-	}
-	eng.planMu.RUnlock()
-	return st
 }

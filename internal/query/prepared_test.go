@@ -35,10 +35,10 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	pc := ev.Prepare(closed)
 	po := ev.Prepare(open)
 
-	if got, want := pc.Support(), ev.SupportNaive(closed); got != want {
+	if got, want := pc.Support(), ev.SupportScan(closed); got != want {
 		t.Errorf("Prepared.Support(closed) = %d, want %d", got, want)
 	}
-	if got, want := po.Support(), ev.SupportNaive(open); got != want {
+	if got, want := po.Support(), ev.SupportScan(open); got != want {
 		t.Errorf("Prepared.Support(open) = %d, want %d", got, want)
 	}
 	if got, want := pc.ExplainedRows(), ev.ExplainedRows(closed); !reflect.DeepEqual(got, want) {
@@ -157,7 +157,7 @@ func TestPlanCacheCanonicalSharing(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reverse path via shared plan = %v, want %v", got, want)
 	}
-	if s, w := ev.Prepare(rev).Support(), ev.SupportNaive(rev); s != w {
+	if s, w := ev.Prepare(rev).Support(), ev.SupportScan(rev); s != w {
 		t.Errorf("reverse Support = %d, want %d", s, w)
 	}
 }
@@ -208,8 +208,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 // TestPreparedConcurrentShards runs many goroutines, each with its own
 // cloned cursor, evaluating disjoint shards of the same prepared paths, and
 // checks the assembled masks against the sequential result. Run under -race
-// this exercises the plan cache's RWMutex, the per-entry compile/feasible
-// sync.Once, and the shared reach memo.
+// this exercises the plan cache's RWMutex, the per-entry compile sync.Once,
+// and the pooled evaluation memos.
 func TestPreparedConcurrentShards(t *testing.T) {
 	db := figure3DB()
 	closed, open := preparedPaths(t)
@@ -267,5 +267,18 @@ func TestDecoratedRangeStitching(t *testing.T) {
 		if !reflect.DeepEqual(got, full) {
 			t.Errorf("stitched decorated range %v = %v, want %v", cuts, got, full)
 		}
+	}
+}
+
+// TestPlanCacheStatsAdd pins the federation-facing aggregate: counters sum,
+// while DictValues — one dictionary shared by the shards of a database —
+// keeps the larger size instead of double-counting.
+func TestPlanCacheStatsAdd(t *testing.T) {
+	a := query.PlanCacheStats{Hits: 3, Misses: 2, DictValues: 40, IndexBuilds: 5, PlansPlanned: 1, MaskHits: 7}
+	b := query.PlanCacheStats{Hits: 10, Misses: 1, DictValues: 25, IndexBuilds: 1, PlansPlanned: 2, MaskHits: 2}
+	got := a.Add(b)
+	want := query.PlanCacheStats{Hits: 13, Misses: 3, DictValues: 40, IndexBuilds: 6, PlansPlanned: 3, MaskHits: 9}
+	if got != want {
+		t.Errorf("Add = %+v, want %+v", got, want)
 	}
 }

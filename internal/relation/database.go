@@ -16,11 +16,17 @@ type Database struct {
 	// gen counts schema mutations (AddTable calls, including table
 	// replacement); see Version.
 	gen atomic.Uint64
+
+	// dict is the database's value dictionary (see Dict), shared with the
+	// views Derive makes; dictSynced is 1 + the Version the last sync of
+	// this database's tables into it covered (0 = never).
+	dict       *Dict
+	dictSynced atomic.Uint64
 }
 
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
-	return &Database{tables: make(map[string]*Table)}
+	return &Database{tables: make(map[string]*Table), dict: newDict()}
 }
 
 // AddTable registers a table. Re-registering a name replaces the previous

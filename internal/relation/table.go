@@ -45,6 +45,19 @@ type Table struct {
 	// indexes; see DistinctPairs.
 	pairIndexes map[[2]int]map[Value][]Value
 
+	// codedPairs and codedExists cache the dictionary-coded indexes the
+	// query engine evaluates on (see dict.go), keyed by dictionary and
+	// column positions; Append drops them with the others.
+	codedPairs  map[codedKey]*CSR
+	codedExists map[codedKey]CodeSet
+
+	// interned records, per dictionary, how many leading rows
+	// Database.Dict has interned (see dict.go). It survives Append — rows
+	// are never rewritten — and has its own lock because dictionaries sync
+	// under their own mutex, which CodedPairs takes while holding mu.
+	internMu sync.Mutex
+	interned map[*Dict]int
+
 	// version counts mutations (Appends). Derived caches built against the
 	// table — the lazy indexes above, but also compiled query plans held
 	// outside the table — use it to detect staleness: equal versions mean
@@ -105,6 +118,8 @@ func (t *Table) Append(row ...Value) {
 	t.mu.Lock()
 	t.indexes = nil
 	t.pairIndexes = nil
+	t.codedPairs = nil
+	t.codedExists = nil
 	t.mu.Unlock()
 }
 
@@ -126,6 +141,16 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // the database level (AddTable replacement swaps the whole *Table), so a
 // live Table's history is purely append-only.
 func (t *Table) AppendVersion() uint64 { return t.version.Load() }
+
+// mustColumn returns the position of the named column, panicking if the
+// table has no such column.
+func (t *Table) mustColumn(name string) int {
+	i, ok := t.colIdx[name]
+	if !ok {
+		panic(fmt.Sprintf("relation: table %q has no column %q", t.name, name))
+	}
+	return i
+}
 
 // Row returns the i-th row. The returned slice must not be modified.
 func (t *Table) Row(i int) []Value { return t.rows[i] }
