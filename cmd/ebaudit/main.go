@@ -657,16 +657,22 @@ func (a *app) summary() error {
 		for _, si := range a.fed.ShardInfos() {
 			fmt.Fprintf(a.stdout, "  %s: %d rows\n", si.Name, si.Rows)
 		}
-		fmt.Fprintf(a.stdout, "explained fraction with hand-crafted templates: %.3f\n",
-			a.fed.ExplainedFraction(context.Background(), a.parallelism))
+		frac, err := a.fed.ExplainedFraction(context.Background(), a.parallelism)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(a.stdout, "explained fraction with hand-crafted templates: %.3f\n", frac)
 		return nil
 	}
 	fmt.Fprintln(a.stdout, a.auditor.Summary())
 	for _, line := range a.db.Summary() {
 		fmt.Fprintln(a.stdout, "  "+line)
 	}
-	fmt.Fprintf(a.stdout, "explained fraction with hand-crafted templates: %.3f\n",
-		a.auditor.ExplainedFractionParallel(context.Background(), a.parallelism))
+	frac, err := a.auditor.ExplainedFraction(context.Background(), a.parallelism)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(a.stdout, "explained fraction with hand-crafted templates: %.3f\n", frac)
 	return nil
 }
 
@@ -854,21 +860,14 @@ func (a *app) runAudit(fed *federate.Federation, workers int, n *int, verbose, s
 		return a.auditStream(workers, *verbose)
 	}
 
-	start := time.Now()
-	var reports []core.AccessReport
+	explainAll := a.auditor.ExplainAll
 	if fed != nil {
-		// Materialize via the streaming surface rather than ExplainAll: the
-		// two emit identical reports, but this one returns the error, so a
-		// strict-mode shard failure is an exit-1 diagnosis instead of a
-		// silent zero-report audit.
-		if err := fed.StreamReports(context.Background(), workers, func(rep core.AccessReport) error {
-			reports = append(reports, rep)
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		reports = a.auditor.ExplainAll(context.Background(), workers)
+		explainAll = fed.ExplainAll
+	}
+	start := time.Now()
+	reports, err := explainAll(context.Background(), workers)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 
@@ -1252,7 +1251,10 @@ func (a *app) unexplained(args []string) error {
 		return err
 	}
 	if a.fed != nil {
-		rows := a.fed.UnexplainedAccesses(context.Background(), a.parallelism)
+		rows, err := a.fed.UnexplainedRows(context.Background(), a.parallelism)
+		if err != nil {
+			return err
+		}
 		log := a.fed.MergedLog()
 		namer := explain.NullNamer{}
 		a.printUnexplained(rows, log.NumRows(), *n, func(r int) string {
@@ -1263,7 +1265,10 @@ func (a *app) unexplained(args []string) error {
 		})
 		return nil
 	}
-	rows := a.auditor.UnexplainedAccessesParallel(context.Background(), a.parallelism)
+	rows, err := a.auditor.UnexplainedRows(context.Background(), a.parallelism)
+	if err != nil {
+		return err
+	}
 	a.printUnexplained(rows, a.auditor.Evaluator().Log().NumRows(), *n, func(r int) string {
 		rep := a.auditor.ExplainRow(r, 1)
 		line := unexplainedLine(rep.Lid, rep.Date, rep.UserName, a.patientName(rep.Patient))

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // writeDataDir materializes a fake -data directory from file name -> CSV
@@ -346,5 +348,38 @@ func TestFederatedSubcommands(t *testing.T) {
 	err := run([]string{"-data", data, "export", "-dir", t.TempDir()}, &exBuf, &exBuf)
 	if err == nil || !strings.Contains(err.Error(), "not supported") {
 		t.Errorf("federated export: %v", err)
+	}
+}
+
+// TestCLIFaultsFailLoud pins that the audit subcommands surface a failed
+// mask build, or a failed shard call in a federation, as an error (exit 1)
+// instead of printing an empty shortlist, a 0.000 fraction, or a
+// zero-access audit.
+func TestCLIFaultsFailLoud(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"export", "-dir", dir}, &stdout, &stderr); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	dirA, dirB := splitExportedLog(t, dir, 0.5)
+	fed := []string{"-data", dirA + "," + dirB, "-faults", "federate.east.unexplained:error:100"}
+	for _, argv := range [][]string{
+		{"-faults", "core.mask.ensure:error", "summary"},
+		{"-faults", "core.mask.ensure:error", "unexplained"},
+		{"-faults", "core.mask.ensure:error", "audit"},
+		append(fed[:len(fed):len(fed)], "unexplained"),
+		append(fed[:len(fed):len(fed)], "summary"),
+	} {
+		fault.Reset()
+		var stdout, stderr bytes.Buffer
+		err := run(argv, &stdout, &stderr)
+		if err == nil {
+			t.Errorf("run(%v) succeeded under an injected fault:\n%s", argv, stdout.String())
+			continue
+		}
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("run(%v) err = %v, want the injected fault", argv, err)
+		}
 	}
 }

@@ -82,7 +82,12 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\nstreamed %d reports in global log order across %d shards\n", streamed, fed.NumShards())
-	fmt.Printf("explained fraction: %.3f\n", fed.ExplainedFraction(ctx, workers))
+	frac, err := fed.ExplainedFraction(ctx, workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "explained fraction: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("explained fraction: %.3f\n", frac)
 	if firstUnexplained != nil {
 		fmt.Printf("first unexplained access: L%d %s %s -> %s\n",
 			firstUnexplained.Lid, firstUnexplained.Date,
@@ -94,8 +99,16 @@ func main() {
 	single := core.NewAuditor(ds.DB, graph, core.WithNamer(ds))
 	single.BuildGroups(core.GroupsOptions{})
 	single.AddTemplates(catalog...)
-	want := single.ExplainAll(ctx, workers)
-	got := fed.ExplainAll(ctx, workers)
+	want, err := single.ExplainAll(ctx, workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "single-engine audit: %v\n", err)
+		os.Exit(1)
+	}
+	got, err := fed.ExplainAll(ctx, workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "federated audit: %v\n", err)
+		os.Exit(1)
+	}
 	if !reflect.DeepEqual(got, want) {
 		fmt.Fprintln(os.Stderr, "FEDERATION DIVERGED from the single-engine audit")
 		os.Exit(1)

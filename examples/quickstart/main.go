@@ -4,8 +4,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/ehr"
@@ -43,7 +45,10 @@ func main() {
 	}
 
 	// 5. The headline: how much of the log do the templates explain?
-	frac := auditor.ExplainedFraction()
+	frac, err := auditor.ExplainedFraction(context.Background(), runtime.GOMAXPROCS(0))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ntemplates explain %.1f%% of all accesses (the paper reports over 94%%)\n", 100*frac)
 	if frac < 0.5 {
 		log.Fatal("quickstart: unexpectedly low explained fraction")

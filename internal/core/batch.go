@@ -43,21 +43,19 @@ const minMaskShard = 256
 // one shard, not one worker's whole share of the log.
 const maskShardsPerWorker = 4
 
-// alignedRanges splits [lo, n) into at most workers*maskShardsPerWorker
-// near-equal contiguous ranges of roughly minMaskShard rows or more (a span
-// smaller than minMaskShard becomes one range), with every *interior*
-// boundary a multiple of 64. Aligned boundaries make concurrent shards of
+// alignedRanges splits [lo, n) into at most k near-equal contiguous ranges
+// of roughly minMaskShard rows or more (a span smaller than minMaskShard
+// becomes one range), with every *interior* boundary a multiple of 64. Aligned boundaries make concurrent shards of
 // one packed mask write disjoint words: only the first range can start
 // mid-word (an extension resumes at the old watermark), and only that one
 // shard touches its boundary word. Concatenating EvaluateRange over these
 // ranges is byte-identical to one full EvaluateRange(lo, n), per the
 // Template contract.
-func alignedRanges(lo, n, workers int) [][2]int {
+func alignedRanges(lo, n, k int) [][2]int {
 	span := n - lo
 	if span <= 0 {
 		return nil
 	}
-	k := workers * maskShardsPerWorker
 	if maxShards := span / minMaskShard; k > maxShards {
 		k = maxShards
 	}
@@ -100,23 +98,17 @@ type maskTask struct {
 // anything else (no cached mask, or a template whose old rows appends can
 // reclassify, see explain.AppendMonotone) is built from row 0. Every stale
 // template is sharded *within* itself into word-aligned log-row ranges
-// (Template EvaluateRange), and all shards of all stale templates feed one
-// worker pool — so a workload of two expensive templates scales across
-// every core instead of two. Path-backed templates compile once through
+// (Template EvaluateRange), up to shardsPerWorker ranges per worker, and
+// all shards of all stale templates feed one worker pool — so a workload of
+// two expensive templates scales across every core instead of two. Path-backed templates compile once through
 // the engine's shared plan cache; the shards only pay classification.
 // Workers poll ctx between claimed shards, so a cancelled call stops after
 // the in-flight shards rather than draining the claim loop; it then
-// returns ctx.Err() without publishing partial masks. Concurrent callers
-// may duplicate work for a mask both find stale, but they converge on
-// identical values, so the cache stays consistent.
-func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.Bits, error) {
-	// Chaos seam: lets the fault framework fail, stall, or hang mask
-	// computation as a whole, the way a sick shard's evaluator would.
-	if fault.Enabled() {
-		if err := fault.InjectCtx(ctx, "core.mask.ensure"); err != nil {
-			return nil, err
-		}
-	}
+// returns ctx.Err() without publishing partial masks — the only error it
+// returns. Concurrent callers may duplicate work for a mask both find
+// stale, but they converge on identical values, so the cache stays
+// consistent.
+func (a *Auditor) ensureMasks(ctx context.Context, parallelism, shardsPerWorker int) ([]*bitset.Bits, error) {
 	n := a.ev.Log().NumRows()
 	hist := a.histVersion()
 	nt := len(a.templates)
@@ -157,7 +149,7 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 		type shard struct{ task, lo, hi int }
 		var shards []shard
 		for ti, tk := range tasks {
-			for _, rg := range alignedRanges(tk.lo, n, workers) {
+			for _, rg := range alignedRanges(tk.lo, n, workers*shardsPerWorker) {
 				shards = append(shards, shard{task: ti, lo: rg[0], hi: rg[1]})
 			}
 		}
@@ -213,34 +205,47 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 	return out, nil
 }
 
+// batchMasks is the mask source of the batch entry points (Refresh,
+// StreamReports, UnexplainedRows, ExplainedFraction): ensureMasks behind the
+// core.mask.ensure chaos seam, which lets the fault framework fail, stall,
+// or hang mask computation as a whole, the way a sick shard's evaluator
+// would. ExplainRow and PatientReport call ensureMasks directly, so the
+// single-row API stays infallible.
+func (a *Auditor) batchMasks(ctx context.Context, parallelism int) ([]*bitset.Bits, error) {
+	if err := fault.InjectCtx(ctx, "core.mask.ensure"); err != nil {
+		return nil, err
+	}
+	return a.ensureMasks(ctx, parallelism, maskShardsPerWorker)
+}
+
 // ExplainAll builds the report for every log row using a pool of parallelism
 // workers (non-positive means GOMAXPROCS), each with its own evaluator
 // cursor. It materializes the StreamReports pipeline into one slice, so
-// reports are in log-row order and identical to what a sequential
-// ExplainRow(r, 0) loop produces — the differential tests pin this down —
-// and callers that do not need the whole slice at once should consume
-// StreamReports (or Reports) directly for bounded memory.
-//
-// ExplainAll returns nil if ctx is cancelled before the batch completes; it
-// never returns a partially filled slice.
-func (a *Auditor) ExplainAll(ctx context.Context, parallelism int) []AccessReport {
+// reports are in log-row order and identical to what an ExplainRow(r, 0)
+// loop produces; callers that do not need the whole slice at once should
+// consume StreamReports directly for bounded memory. On failure (a
+// cancelled ctx, or a mask build that fails) it returns the error and no
+// reports, never a partially filled slice.
+func (a *Auditor) ExplainAll(ctx context.Context, parallelism int) ([]AccessReport, error) {
 	out := make([]AccessReport, 0, a.ev.Log().NumRows())
 	if err := a.StreamReports(ctx, parallelism, func(rep AccessReport) error {
 		out = append(out, rep)
 		return nil
 	}); err != nil {
-		return nil
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
-// UnexplainedRows is UnexplainedAccessesParallel with the failure
-// surfaced: resilience layers need to distinguish "no unexplained rows"
-// from "the masks could not be computed", which the nil-on-error
-// convenience wrapper below cannot express. The returned row indexes are
-// in ascending order, identical to the sequential result.
+// UnexplainedRows returns the log rows no registered template explains —
+// the paper's misuse-detection shortlist — as ascending row indexes into
+// the audited log. The template masks are computed (or extended) with a
+// pool of parallelism workers, ORed word-at-a-time into one packed union,
+// and the zero bits collected. A failed mask build is returned as an error,
+// so "no unexplained rows" and "the masks could not be computed" never look
+// alike.
 func (a *Auditor) UnexplainedRows(ctx context.Context, parallelism int) ([]int, error) {
-	masks, err := a.ensureMasks(ctx, parallelism)
+	masks, err := a.batchMasks(ctx, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -255,29 +260,15 @@ func (a *Auditor) UnexplainedRows(ctx context.Context, parallelism int) ([]int, 
 	return out, nil
 }
 
-// UnexplainedAccessesParallel is the concurrent counterpart of
-// UnexplainedAccesses: the template masks are computed (or extended) with a
-// worker pool, ORed word-at-a-time into one packed union, and the zero bits
-// collected — a popcount-speed scan, no per-row template loop. The returned
-// row indexes are in ascending order, identical to the sequential result.
-// It returns nil if ctx is cancelled first (see UnexplainedRows for the
-// error-carrying variant).
-func (a *Auditor) UnexplainedAccessesParallel(ctx context.Context, parallelism int) []int {
-	rows, err := a.UnexplainedRows(ctx, parallelism)
+// ExplainedFraction returns the fraction of log rows explained by the
+// registered templates (the paper's headline ">94% of accesses" number),
+// computing the template masks with a pool of parallelism workers and the
+// fraction by popcount over their packed union. An empty log or an auditor
+// with no templates yields (0, nil), never NaN.
+func (a *Auditor) ExplainedFraction(ctx context.Context, parallelism int) (float64, error) {
+	masks, err := a.batchMasks(ctx, parallelism)
 	if err != nil {
-		return nil
+		return 0, err
 	}
-	return rows
-}
-
-// ExplainedFractionParallel is the concurrent counterpart of
-// ExplainedFraction, computing the template masks with a worker pool and
-// the fraction by popcount over their packed union. An empty log (or a
-// cancelled ctx, or an auditor with no templates) yields 0, never NaN.
-func (a *Auditor) ExplainedFractionParallel(ctx context.Context, parallelism int) float64 {
-	masks, err := a.ensureMasks(ctx, parallelism)
-	if err != nil || len(masks) == 0 {
-		return 0
-	}
-	return metrics.FractionBits(metrics.UnionBits(masks...))
+	return metrics.FractionBits(metrics.UnionBits(masks...)), nil
 }

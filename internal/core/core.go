@@ -12,15 +12,15 @@
 //     shortlist a compliance office would investigate (§1).
 //
 // Auditing every access in a hospital-scale log is embarrassingly parallel
-// across log rows, so the package also provides a concurrent batch engine:
-// ExplainAll, UnexplainedAccessesParallel, and ExplainedFractionParallel
-// shard the log over a worker pool of cloned evaluator cursors and produce
-// results identical to their sequential counterparts (see the Auditor type
-// comment for the concurrency contract). Template masks are themselves
-// computed sharded: each template's log is split into ranges evaluated
-// concurrently via explain.Template.EvaluateRange over shared prepared
-// plans, so mask computation scales with cores even when few templates are
-// registered.
+// across log rows, so every batch operation — StreamReports, ExplainAll,
+// UnexplainedRows, ExplainedFraction, Refresh — takes a context and a
+// worker count, shards the log over a worker pool of cloned evaluator
+// cursors, and returns an error rather than an empty result when it fails
+// (see the Auditor type comment for the concurrency contract). Template
+// masks are themselves computed sharded: each template's log is split into
+// ranges evaluated concurrently via explain.Template.EvaluateRange over
+// shared prepared plans, so mask computation scales with cores even when
+// few templates are registered.
 package core
 
 import (
@@ -28,13 +28,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/accesslog"
 	"repro/internal/bitset"
 	"repro/internal/explain"
 	"repro/internal/groups"
-	"repro/internal/metrics"
 	"repro/internal/mine"
 	"repro/internal/obs"
 	"repro/internal/pathmodel"
@@ -51,17 +49,16 @@ import (
 //
 // Configuration (NewAuditor, BuildGroups, AddTemplates, ResetMaskCache)
 // requires exclusive access. Once configured, the batch methods —
-// ExplainAll, UnexplainedAccessesParallel, ExplainedFractionParallel — are
-// safe to call concurrently with each other: they fan work out to
+// StreamReports, ExplainAll, UnexplainedRows, ExplainedFraction, Refresh —
+// are safe to call concurrently with each other: they fan work out to
 // per-worker evaluator cursors (query.Evaluator.Clone), shard each missing
 // template mask into log-row ranges over one worker pool (so even a
 // one-template workload uses every worker), and guard the shared
 // template-mask cache with a mutex. The per-worker cursors share the query
 // engine's compiled-plan cache, so a template's path is compiled once no
 // matter how many workers evaluate its shards. The single-row methods
-// (ExplainRow, PatientReport, UnexplainedAccesses, ExplainedFraction) share
-// one evaluator cursor and must not run concurrently with anything else on
-// the same Auditor.
+// (ExplainRow, PatientReport) render on the auditor's own evaluator cursor
+// and must not run concurrently with anything else on the same Auditor.
 type Auditor struct {
 	db    *relation.Database
 	graph *schemagraph.Graph
@@ -349,57 +346,6 @@ func (a *Auditor) MineTemplates(algo string, opt mine.Options) (mine.Result, err
 	return mine.Run(algo, a.ev, a.graph, opt)
 }
 
-// mask returns (computing, or extending over appended log rows, on demand)
-// the packed explained-rows mask of template i. Computation uses the
-// auditor's own cursor, so this is part of the single-threaded API; the
-// batch path precomputes masks via ensureMasks with the same
-// extend-or-rebuild policy.
-func (a *Auditor) mask(i int) *bitset.Bits {
-	n := a.ev.Log().NumRows()
-	hist := a.histVersion()
-	events := a.eventVersion(i)
-	a.mu.Lock()
-	e, ok := a.masks[i]
-	a.mu.Unlock()
-	ok = ok && e.events == events
-	monotone := explain.AppendMonotone(a.templates[i])
-	if ok && e.rows == n && (monotone || e.hist == hist) {
-		a.maskHits.Add(1)
-		return e.bits
-	}
-	var bits *bitset.Bits
-	lo := 0
-	outcome := "recompute"
-	if ok && e.rows < n && monotone {
-		bits = e.bits.Clone()
-		bits.Grow(n)
-		lo = e.rows
-		outcome = "extend"
-		a.maskExtensions.Add(1)
-	} else {
-		bits = bitset.New(n)
-		a.maskRecomputes.Add(1)
-	}
-	sp := obs.StartSpan("core.mask.build").
-		Annotate("template", a.templates[i].Name()).
-		Annotate("outcome", outcome).
-		Annotate("rows", n-lo)
-	timed := obs.Enabled()
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	bits.SetBools(lo, a.templates[i].EvaluateRange(a.ev, lo, n))
-	if timed {
-		a.maskEvalNanos.Observe(time.Since(t0).Nanoseconds())
-	}
-	sp.End()
-	a.mu.Lock()
-	a.masks[i] = &maskEntry{bits: bits, rows: n, hist: hist, events: events}
-	a.mu.Unlock()
-	return bits
-}
-
 // Refresh brings every cached template mask (and, transitively, the query
 // engine's log projections) up to date with rows appended to the audited
 // log since the masks were computed, evaluating only the appended suffix of
@@ -418,7 +364,7 @@ func (a *Auditor) mask(i int) *bitset.Bits {
 // masks of the templates that read it, from row 0. Destructive changes
 // (table replacement) instead go through AddTable/ResetMaskCache.
 func (a *Auditor) Refresh(ctx context.Context, parallelism int) error {
-	_, err := a.ensureMasks(ctx, parallelism)
+	_, err := a.batchMasks(ctx, parallelism)
 	return err
 }
 
@@ -444,16 +390,23 @@ func (r AccessReport) Explained() bool { return len(r.Explanations) > 0 }
 
 // ExplainRow builds the report for one log row index. It runs on the
 // auditor's own cursor and is part of the single-threaded API; ExplainAll is
-// the concurrent batch equivalent and produces identical reports.
+// the concurrent batch equivalent and produces identical reports. Stale
+// template masks are brought up to date first (ensureMasks on one worker),
+// so ExplainRow sees rows appended since the last Refresh.
 func (a *Auditor) ExplainRow(row int, maxPerTemplate int) AccessReport {
-	return a.explainRowWith(a.ev, a.mask, row, maxPerTemplate)
+	// One worker and one range per stale template: nothing can cancel this
+	// call, so more ranges would only repeat per-range evaluation setup. And
+	// ensureMasks fails only through its context, which Background never
+	// ends.
+	masks, _ := a.ensureMasks(context.Background(), 1, 1)
+	return a.explainRowWith(a.ev, masks, row, maxPerTemplate)
 }
 
 // explainRowWith builds the report for one log row using the given cursor
-// and mask source. It is the single code path behind both ExplainRow and the
-// batch workers of ExplainAll, which is what guarantees the two APIs return
-// byte-for-byte identical reports.
-func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.Bits, row, maxPerTemplate int) AccessReport {
+// and template masks. It is the single code path behind both ExplainRow and
+// the batch workers of StreamReports, which is what guarantees the two APIs
+// return byte-for-byte identical reports.
+func (a *Auditor) explainRowWith(ev *query.Evaluator, masks []*bitset.Bits, row, maxPerTemplate int) AccessReport {
 	log := ev.Log()
 	if maxPerTemplate <= 0 {
 		maxPerTemplate = 3
@@ -466,7 +419,7 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.B
 	}
 	rep.UserName = a.namer.UserName(rep.User)
 	for i, t := range a.templates {
-		if !maskOf(i).Get(row) {
+		if !masks[i].Get(row) {
 			continue
 		}
 		for _, text := range t.Render(ev, row, maxPerTemplate, a.namer) {
@@ -496,39 +449,6 @@ func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) []Ac
 		out = append(out, a.ExplainRow(r, maxPerTemplate))
 	}
 	return out
-}
-
-// unionMask ORs every template mask into one packed "explained by anything"
-// mask (nil when no templates are registered), computing or extending the
-// per-template masks on the auditor's own cursor.
-func (a *Auditor) unionMask() *bitset.Bits {
-	masks := make([]*bitset.Bits, len(a.templates))
-	for i := range a.templates {
-		masks[i] = a.mask(i)
-	}
-	return metrics.UnionBits(masks...)
-}
-
-// UnexplainedAccesses returns the log rows no registered template explains —
-// the paper's misuse-detection shortlist. The returned slice holds row
-// indexes into the auditor's log.
-func (a *Auditor) UnexplainedAccesses() []int {
-	union := a.unionMask()
-	var out []int
-	n := a.ev.Log().NumRows()
-	for r := 0; r < n; r++ {
-		if union == nil || !union.Get(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ExplainedFraction returns the fraction of log rows explained by the
-// registered templates (the paper's headline ">94% of accesses" number),
-// by popcount over the packed union mask.
-func (a *Auditor) ExplainedFraction() float64 {
-	return metrics.FractionBits(a.unionMask())
 }
 
 // PlanCacheStats returns the query engine's plan-cache counters with the

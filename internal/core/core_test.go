@@ -118,8 +118,8 @@ func TestPatientReportCoversAllAccesses(t *testing.T) {
 
 func TestUnexplainedConsistentWithExplainedFraction(t *testing.T) {
 	ds, a := buildAuditor(t)
-	un := a.UnexplainedAccesses()
-	frac := a.ExplainedFraction()
+	un := unexplainedRows(t, a, 4)
+	frac := explainedFraction(t, a, 4)
 	total := ds.Log().NumRows()
 	wantUnexplained := total - int(frac*float64(total)+0.5)
 	if len(un) != wantUnexplained {
@@ -135,14 +135,14 @@ func TestUnexplainedConsistentWithExplainedFraction(t *testing.T) {
 
 func TestUnexplainedContainsGroundTruthResidue(t *testing.T) {
 	ds, a := buildAuditor(t)
-	un := a.UnexplainedAccesses()
+	un := unexplainedRows(t, a, 4)
 	onList := map[int]bool{}
 	for _, r := range un {
 		onList[r] = true
 	}
 	// The explained fraction should be high and the residue dominated by
 	// none/snoop/floater causes.
-	if frac := a.ExplainedFraction(); frac < 0.9 {
+	if frac := explainedFraction(t, a, 4); frac < 0.9 {
 		t.Errorf("ExplainedFraction = %.3f", frac)
 	}
 	for _, r := range un {
@@ -161,11 +161,11 @@ func TestUnexplainedContainsGroundTruthResidue(t *testing.T) {
 func TestEmptyTemplateSet(t *testing.T) {
 	ds := ehr.Generate(ehr.Tiny())
 	a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()))
-	if got := a.ExplainedFraction(); got != 0 {
+	if got := explainedFraction(t, a, 4); got != 0 {
 		t.Errorf("ExplainedFraction with no templates = %v", got)
 	}
-	if got := len(a.UnexplainedAccesses()); got != ds.Log().NumRows() {
-		t.Errorf("UnexplainedAccesses = %d, want all %d", got, ds.Log().NumRows())
+	if got := len(unexplainedRows(t, a, 4)); got != ds.Log().NumRows() {
+		t.Errorf("UnexplainedRows = %d, want all %d", got, ds.Log().NumRows())
 	}
 }
 

@@ -22,7 +22,7 @@ func TestAuditorWithDecoratedTemplates(t *testing.T) {
 		explain.DecoratedRepeatAccess(),
 		explain.DepthRestrictedGroupTemplate("appt-group-d1", "Appointments", "an appointment", 1),
 	)
-	frac := a.ExplainedFraction()
+	frac := explainedFraction(t, a, 4)
 	if frac <= 0 || frac >= 1 {
 		t.Errorf("ExplainedFraction = %.3f, want in (0,1)", frac)
 	}

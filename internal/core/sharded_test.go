@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -10,26 +9,23 @@ import (
 )
 
 // TestMaskShardingDifferential verifies that masks computed with
-// intra-template sharding (many workers per template) classify every row
-// exactly as a single-worker computation: the unexplained shortlist and the
-// explained fraction must be identical on three dataset seeds, with the
-// mask cache reset between runs so each parallelism level recomputes its
-// own masks from scratch.
+// intra-template sharding classify every row exactly as the oracle's one
+// full-range evaluation per template: the unexplained shortlist and the
+// explained fraction must be identical on three dataset seeds at every
+// parallelism level, with the mask cache reset between runs so each level
+// recomputes its own masks from scratch.
 func TestMaskShardingDifferential(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		a := buildSeededAuditor(t, seed)
-		a.ResetMaskCache()
-		seqRows := a.UnexplainedAccessesParallel(ctx, 1)
-		seqFrac := a.ExplainedFractionParallel(ctx, 1)
-		for _, par := range []int{2, 5, 8} {
+		wantRows, wantFrac, _ := oracleAudit(a)
+		for _, par := range []int{1, 2, 5, 8} {
 			a.ResetMaskCache()
-			rows := a.UnexplainedAccessesParallel(ctx, par)
-			if !reflect.DeepEqual(rows, seqRows) {
-				t.Errorf("seed %d: unexplained rows differ at parallelism %d", seed, par)
+			if rows := unexplainedRows(t, a, par); !reflect.DeepEqual(rows, wantRows) {
+				t.Errorf("seed %d: unexplained rows differ from the oracle at parallelism %d", seed, par)
 			}
-			if frac := a.ExplainedFractionParallel(ctx, par); frac != seqFrac {
-				t.Errorf("seed %d: fraction %v != %v at parallelism %d", seed, frac, seqFrac, par)
+			a.ResetMaskCache()
+			if frac := explainedFraction(t, a, par); frac != wantFrac {
+				t.Errorf("seed %d: fraction %v != oracle %v at parallelism %d", seed, frac, wantFrac, par)
 			}
 		}
 	}
@@ -39,10 +35,9 @@ func TestMaskShardingDifferential(t *testing.T) {
 // not change any result, only force recomputation.
 func TestResetMaskCacheRecomputes(t *testing.T) {
 	a := buildSeededAuditor(t, 1)
-	ctx := context.Background()
-	before := a.UnexplainedAccessesParallel(ctx, 4)
+	before := unexplainedRows(t, a, 4)
 	a.ResetMaskCache()
-	after := a.UnexplainedAccessesParallel(ctx, 4)
+	after := unexplainedRows(t, a, 4)
 	if !reflect.DeepEqual(before, after) {
 		t.Error("results changed across ResetMaskCache")
 	}

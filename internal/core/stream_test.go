@@ -10,6 +10,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/ehr"
 	"repro/internal/explain"
+	"repro/internal/fault"
+	"repro/internal/federate"
+	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
 
@@ -17,7 +20,7 @@ import (
 // differential oracle: on three differently seeded datasets and at every
 // parallelism level, the streamed report sequence must be byte-for-byte
 // identical — order and content — to the materialized ExplainAll slice and
-// to a sequential ExplainRow loop.
+// to an ExplainRow loop, whose explained rows must match the oracle masks.
 func TestStreamReportsMatchesExplainAll(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
@@ -27,6 +30,7 @@ func TestStreamReportsMatchesExplainAll(t *testing.T) {
 		for r := 0; r < n; r++ {
 			want[r] = a.ExplainRow(r, 0)
 		}
+		checkReportsAgainstOracle(t, "ExplainRow loop", a, want)
 		for _, par := range []int{1, 2, 4, 8} {
 			got := make([]core.AccessReport, 0, n)
 			if err := a.StreamReports(ctx, par, func(rep core.AccessReport) error {
@@ -44,44 +48,10 @@ func TestStreamReportsMatchesExplainAll(t *testing.T) {
 				}
 				t.Fatalf("seed %d parallelism %d: streamed reports differ", seed, par)
 			}
-			if mat := a.ExplainAll(ctx, par); !reflect.DeepEqual(mat, got) {
+			if mat := explainAll(t, a, par); !reflect.DeepEqual(mat, got) {
 				t.Fatalf("seed %d parallelism %d: ExplainAll differs from its own stream", seed, par)
 			}
 		}
-	}
-}
-
-// TestReportsIterator checks the iter.Seq2 face: full iteration yields the
-// ExplainAll sequence with no error pair, and breaking out of the loop early
-// tears the pipeline down cleanly (no hang, no spurious error yield).
-func TestReportsIterator(t *testing.T) {
-	ctx := context.Background()
-	a := buildSeededAuditor(t, 2)
-	want := a.ExplainAll(ctx, 4)
-
-	var got []core.AccessReport
-	for rep, err := range a.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("unexpected iterator error: %v", err)
-		}
-		got = append(got, rep)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("iterated reports differ from ExplainAll")
-	}
-
-	seen := 0
-	for _, err := range a.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("unexpected iterator error on early break: %v", err)
-		}
-		seen++
-		if seen == 5 {
-			break
-		}
-	}
-	if seen != 5 {
-		t.Fatalf("early break saw %d reports, want 5", seen)
 	}
 }
 
@@ -89,7 +59,7 @@ func TestReportsIterator(t *testing.T) {
 // immediately and is returned verbatim; fn has seen a clean prefix.
 func TestStreamReportsConsumerError(t *testing.T) {
 	a := buildSeededAuditor(t, 1)
-	want := a.ExplainAll(context.Background(), 4)
+	want := explainAll(t, a, 4)
 	boom := errors.New("sink failed")
 	var got []core.AccessReport
 	err := a.StreamReports(context.Background(), 4, func(rep core.AccessReport) error {
@@ -135,45 +105,115 @@ func TestStreamReportsCancelPrompt(t *testing.T) {
 	}
 }
 
-// emptyLogAuditor builds an auditor over a database whose Log (and event
-// tables) exist but hold zero rows, with one real catalog template
-// registered — the smallest configuration where an unguarded
+// emptyLogDB builds a database whose Log (and event tables) exist but hold
+// zero rows — the smallest configuration where an unguarded
 // explained/total division would produce NaN.
-func emptyLogAuditor() *core.Auditor {
+func emptyLogDB() *relation.Database {
 	db := relation.NewDatabase()
 	db.AddTable(relation.NewTable("Log", "Lid", "Date", "User", "Patient"))
 	db.AddTable(relation.NewTable("Appointments", "Patient", "Date", "Doctor"))
 	db.AddTable(relation.NewTable("UserMapping", "CaregiverID", "AuditID"))
-	a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()))
-	a.AddTemplates(explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment"))
-	return a
+	return db
+}
+
+// emptyLogTemplate is the one real catalog template the empty-log cases
+// register.
+func emptyLogTemplate() explain.Template {
+	return explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
 }
 
 // TestExplainedFractionEmptyLog is the regression test for the empty-log
-// division: both the sequential and the parallel fraction must return 0 —
-// never NaN — and the other batch methods must degrade cleanly.
+// division: on an empty log, with one template and with none, the fraction
+// must be (0, nil) — never NaN — on both an Auditor and a Federation, and
+// the other batch methods must degrade cleanly.
 func TestExplainedFractionEmptyLog(t *testing.T) {
 	ctx := context.Background()
-	a := emptyLogAuditor()
-
-	if f := a.ExplainedFraction(); f != 0 || math.IsNaN(f) {
-		t.Errorf("ExplainedFraction on empty log = %v, want 0", f)
-	}
-	for _, par := range []int{1, 4} {
-		if f := a.ExplainedFractionParallel(ctx, par); f != 0 || math.IsNaN(f) {
-			t.Errorf("ExplainedFractionParallel(%d) on empty log = %v, want 0", par, f)
+	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
+	for _, withTemplate := range []bool{true, false} {
+		a := core.NewAuditor(emptyLogDB(), graph)
+		fed, err := federate.Split(emptyLogDB(), graph, 2, nil, federate.WithoutGroups())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if withTemplate {
+			a.AddTemplates(emptyLogTemplate())
+			fed.AddTemplates(emptyLogTemplate())
+		}
+		for _, par := range []int{1, 4} {
+			if f, err := a.ExplainedFraction(ctx, par); err != nil || f != 0 || math.IsNaN(f) {
+				t.Errorf("templates=%v: ExplainedFraction(%d) on empty log = %v, %v; want 0, nil", withTemplate, par, f, err)
+			}
+			if f, err := fed.ExplainedFraction(ctx, par); err != nil || f != 0 || math.IsNaN(f) {
+				t.Errorf("templates=%v: federated ExplainedFraction(%d) on empty log = %v, %v; want 0, nil", withTemplate, par, f, err)
+			}
+		}
+		if got := explainAll(t, a, 4); got == nil || len(got) != 0 {
+			t.Errorf("templates=%v: ExplainAll on empty log = %v, want empty non-nil slice", withTemplate, got)
+		}
+		if got := unexplainedRows(t, a, 4); len(got) != 0 {
+			t.Errorf("templates=%v: UnexplainedRows on empty log = %v, want none", withTemplate, got)
+		}
+		if err := a.StreamReports(ctx, 4, func(core.AccessReport) error {
+			t.Error("report emitted for empty log")
+			return nil
+		}); err != nil {
+			t.Errorf("templates=%v: StreamReports on empty log err = %v", withTemplate, err)
 		}
 	}
-	if got := a.ExplainAll(ctx, 4); got == nil || len(got) != 0 {
-		t.Errorf("ExplainAll on empty log = %v, want empty non-nil slice", got)
+}
+
+// TestMaskFaultSeamOnBatchCallsOnly pins where the core.mask.ensure chaos
+// seam fires: with a permanent fault armed there, ExplainRow and
+// PatientReport — which build their masks without the seam — return the
+// same reports as an unfaulted auditor, while every batch call fails with
+// an error wrapping the injected fault instead of an empty result.
+func TestMaskFaultSeamOnBatchCallsOnly(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	ctx := context.Background()
+	clean := buildSeededAuditor(t, 1)
+	n := clean.Evaluator().Log().NumRows()
+	patient := clean.Evaluator().Log().Get(0, pathmodel.LogPatientColumn)
+	want := make([]core.AccessReport, n)
+	for r := range want {
+		want[r] = clean.ExplainRow(r, 0)
 	}
-	if got := a.UnexplainedAccessesParallel(ctx, 4); len(got) != 0 {
-		t.Errorf("UnexplainedAccessesParallel on empty log = %v, want none", got)
+	wantPatient := clean.PatientReport(patient, 1)
+
+	rule := fault.Permanent("core.mask.ensure")
+	fault.Install(rule)
+	a := buildSeededAuditor(t, 1) // cold masks: the single-row calls must build them
+	for r := range want {
+		if got := a.ExplainRow(r, 0); !reflect.DeepEqual(got, want[r]) {
+			t.Fatalf("faulted ExplainRow(%d) = %+v, want %+v", r, got, want[r])
+		}
 	}
-	if err := a.StreamReports(ctx, 4, func(core.AccessReport) error {
-		t.Error("report emitted for empty log")
-		return nil
-	}); err != nil {
-		t.Errorf("StreamReports on empty log err = %v", err)
+	if got := a.PatientReport(patient, 1); !reflect.DeepEqual(got, wantPatient) {
+		t.Fatalf("faulted PatientReport differs from the unfaulted one")
 	}
+	if fault.Default.Injected() != 0 {
+		t.Fatalf("single-row calls fired the seam %d times, want 0", fault.Default.Injected())
+	}
+
+	checkErr := func(call string, err error) {
+		t.Helper()
+		if !errors.Is(err, rule.Err) || !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("faulted %s err = %v, want the injected fault", call, err)
+		}
+	}
+	rows, err := a.UnexplainedRows(ctx, 4)
+	checkErr("UnexplainedRows", err)
+	if rows != nil {
+		t.Errorf("faulted UnexplainedRows returned %d rows, want none", len(rows))
+	}
+	frac, err := a.ExplainedFraction(ctx, 4)
+	checkErr("ExplainedFraction", err)
+	if frac != 0 {
+		t.Errorf("faulted ExplainedFraction = %v, want 0", frac)
+	}
+	reps, err := a.ExplainAll(ctx, 4)
+	checkErr("ExplainAll", err)
+	if reps != nil {
+		t.Errorf("faulted ExplainAll returned %d reports, want none", len(reps))
+	}
+	checkErr("Refresh", a.Refresh(ctx, 4))
 }

@@ -38,7 +38,7 @@ func TestRefreshWithUnseenValues(t *testing.T) {
 		a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 		a.BuildGroups(core.GroupsOptions{})
 		a.AddTemplates(explain.Handcrafted(true, true).All()...)
-		a.ExplainAll(ctx, par)
+		explainAll(t, a, par)
 		before := db.Dict().Len()
 
 		log := db.MustTable(pathmodel.LogTable)
@@ -74,7 +74,7 @@ func TestRefreshWithUnseenValues(t *testing.T) {
 		doctorUser := appointmentUser(t, db, booked)
 		appendAccess(doctorUser, newPatient)
 		checkAgainstOracles(t, ctx, a, db, ds, par, "event-table append")
-		if reps := a.ExplainAll(ctx, par); !reps[len(reps)-1].Explained() {
+		if reps := explainAll(t, a, par); !reps[len(reps)-1].Explained() {
 			t.Errorf("par %d: access by the booked doctor to the new patient is unexplained", par)
 		}
 	}
@@ -104,10 +104,10 @@ func checkAgainstOracles(t *testing.T, ctx context.Context, a *core.Auditor, db 
 	if err := a.Refresh(ctx, par); err != nil {
 		t.Fatalf("%s, par %d: Refresh: %v", stage, par, err)
 	}
-	got := a.ExplainAll(ctx, par)
+	got := explainAll(t, a, par)
 	b := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 	b.AddTemplates(a.Templates()...)
-	if want := b.ExplainAll(ctx, par); !reflect.DeepEqual(got, want) {
+	if want := explainAll(t, b, par); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s, par %d: refreshed reports differ from a cold rebuild", stage, par)
 	}
 	explainedBy := map[string]int{}

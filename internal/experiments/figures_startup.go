@@ -77,7 +77,9 @@ func Startup(env *Env) StartupFigure {
 		return fail(err)
 	}
 	a := build(db)
-	a.ExplainedFractionParallel(context.Background(), runtime.GOMAXPROCS(0))
+	if err := a.Refresh(context.Background(), runtime.GOMAXPROCS(0)); err != nil {
+		return fail(err)
+	}
 	if err := s.SaveWarmState(db, a.CaptureWarmState()); err != nil {
 		return fail(err)
 	}

@@ -7,13 +7,13 @@
 // core.Auditor with its own plan cache) and exposes the full audit surface
 // over the logical merged log:
 //
-//   - StreamReports / Reports fan out across the shards — each shard
-//     streaming its slice through the bounded core pipeline
-//     (parallel.OrderedChunks) — and re-interleave the shard streams into
+//   - StreamReports fans out across the shards — each shard streaming
+//     its slice through the bounded core pipeline
+//     (parallel.OrderedChunks) — and re-interleaves the shard streams into
 //     global log order with a k-way merge (parallel.MergeStreams), so the
 //     federated stream is byte-identical to a single engine auditing the
 //     concatenated log;
-//   - Support, ExplainedFraction, and UnexplainedAccesses aggregate
+//   - Support, ExplainedFraction, and UnexplainedRows aggregate
 //     shard-local results (support and explained counts are row counts, and
 //     the shards partition the rows, so sums are exact);
 //   - MineTemplates drives the miners through a cross-shard support oracle:
@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
 	"sort"
 	"sync"
@@ -87,12 +86,14 @@ type shard struct {
 
 // Federation audits N per-shard engines as one logical log. Construct it
 // with Split or Join, register templates with AddTemplates, then use the
-// audit surface. The concurrency contract matches core.Auditor:
-// configuration requires exclusive access, after which the batch surface
-// (StreamReports, Reports, ExplainAll, UnexplainedAccesses,
+// audit surface. Every audit operation that can fail takes a context and
+// returns an error; each runs its shard calls under the resilience policy
+// (see SetPolicy and SetDegradedMode). The concurrency contract matches
+// core.Auditor: configuration requires exclusive access, after which the
+// batch surface (StreamReports, ExplainAll, UnexplainedRows,
 // ExplainedFraction) may be used; the single-threaded members (Support,
-// PatientReport, MineTemplates) must not run concurrently with anything else
-// on the same Federation.
+// PatientReport, TailReports, MineTemplates) must not run concurrently with
+// anything else on the same Federation.
 type Federation struct {
 	graph  *schemagraph.Graph
 	namer  explain.Namer
@@ -618,185 +619,118 @@ func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func
 	return nil
 }
 
-// errStopStream unwinds StreamReports when a Reports consumer breaks early.
-var errStopStream = errors.New("federate: report stream stopped by consumer")
-
-// Reports is the iterator form of StreamReports: it ranges over every merged
-// log row's report in global order. A non-nil error (cancellation, or an
-// internal failure) is yielded as the final pair with a zero AccessReport;
-// breaking out of the loop tears the shard pipelines down cleanly.
-func (f *Federation) Reports(ctx context.Context, parallelism int) iter.Seq2[core.AccessReport, error] {
-	return func(yield func(core.AccessReport, error) bool) {
-		err := f.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
-			if !yield(rep, nil) {
-				return errStopStream
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopStream) {
-			yield(core.AccessReport{}, err)
-		}
-	}
-}
-
 // ExplainAll materializes the federated stream into one slice in global log
-// order. It returns nil if ctx is cancelled before the audit completes; it
-// never returns a partially filled slice.
-func (f *Federation) ExplainAll(ctx context.Context, parallelism int) []core.AccessReport {
+// order. On failure it returns the StreamReports error and no reports,
+// never a partially filled slice.
+func (f *Federation) ExplainAll(ctx context.Context, parallelism int) ([]core.AccessReport, error) {
 	out := make([]core.AccessReport, 0, f.merged.NumRows())
 	if err := f.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
 		out = append(out, rep)
 		return nil
 	}); err != nil {
-		return nil
+		return nil, err
 	}
-	return out
+	return out, nil
+}
+
+// eachShard runs op on every shard in shard order, each call behind the
+// shard's fault-injection site (site picks it) and under the resilience
+// policy (callShard: panic containment, timeouts, retries). In degraded
+// mode a down shard is skipped — op has no result for it — and recorded in
+// LastDegraded; in strict mode any shard failure aborts the call. It is the
+// one aggregation loop behind Support, UnexplainedRows, and
+// ExplainedFraction.
+func (f *Federation) eachShard(ctx context.Context, site func(*shard) string, op func(ctx context.Context, sh *shard) error) error {
+	degradedOn := f.degraded.Load()
+	deg := &degradeAcc{}
+	for i, sh := range f.shards {
+		err := f.callShard(ctx, sh, func(actx context.Context) error {
+			if err := fault.InjectCtx(actx, site(sh)); err != nil {
+				return err
+			}
+			return op(actx, sh)
+		})
+		if err == nil {
+			continue
+		}
+		if degradedOn && errors.Is(err, ErrShardDown) {
+			deg.add(i, sh.name, len(sh.global))
+			continue
+		}
+		f.setLastDegraded(Degraded{})
+		return err
+	}
+	f.setLastDegraded(deg.snapshot())
+	return nil
 }
 
 // Support returns the path's support over the merged log: the sum of the
 // shard-local supports. Support counts audited rows and the shards partition
-// them, so the sum is exact, not an estimate. It is the unguarded fast
-// path; SupportCtx adds the resilience policy.
-func (f *Federation) Support(p pathmodel.Path) int {
+// them, so the sum is exact, not an estimate. In degraded mode a down shard
+// contributes zero and is recorded in LastDegraded; in strict mode its
+// failure aborts the call.
+func (f *Federation) Support(ctx context.Context, p pathmodel.Path) (int, error) {
 	total := 0
-	for _, sh := range f.shards {
-		total += sh.auditor.Evaluator().Prepare(p).Support()
-	}
-	return total
-}
-
-// SupportCtx is Support under the resilience policy: each shard's
-// evaluation runs through callShard (injection seam, panic containment,
-// retries). In degraded mode a down shard contributes zero and is recorded
-// in LastDegraded; in strict mode its failure aborts the call.
-func (f *Federation) SupportCtx(ctx context.Context, p pathmodel.Path) (int, error) {
-	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
-	total := 0
-	for i, sh := range f.shards {
-		err := f.callShard(ctx, sh, func(actx context.Context) error {
-			if fault.Enabled() {
-				if err := fault.InjectCtx(actx, sh.siteSupport); err != nil {
-					return err
-				}
-			}
+	err := f.eachShard(ctx, func(sh *shard) string { return sh.siteSupport },
+		func(_ context.Context, sh *shard) error {
 			total += sh.auditor.Evaluator().Prepare(p).Support()
 			return nil
 		})
-		if err != nil {
-			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, len(sh.global))
-				continue
-			}
-			f.setLastDegraded(Degraded{})
-			return 0, err
-		}
+	if err != nil {
+		return 0, err
 	}
-	f.setLastDegraded(deg.snapshot())
 	return total, nil
 }
 
-// UnexplainedAccessesErr returns the merged-log row indexes no registered
-// template explains, ascending — the shard-local shortlists mapped through
-// each shard's global row mapping — with shard calls running under the
-// resilience policy. In degraded mode a down shard's rows are absent from
-// the result (and recorded in LastDegraded); in strict mode any shard
-// failure aborts the call.
-func (f *Federation) UnexplainedAccessesErr(ctx context.Context, parallelism int) ([]int, error) {
-	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
-	var out []int
-	for i, sh := range f.shards {
-		var rows []int
-		err := f.callShard(ctx, sh, func(actx context.Context) error {
-			if fault.Enabled() {
-				if err := fault.InjectCtx(actx, sh.siteAgg); err != nil {
-					return err
-				}
+// unexplainedByShard runs core.Auditor.UnexplainedRows on every shard
+// through eachShard and hands each surviving shard's local rows to fn.
+func (f *Federation) unexplainedByShard(ctx context.Context, parallelism int, fn func(sh *shard, rows []int)) error {
+	return f.eachShard(ctx, func(sh *shard) string { return sh.siteAgg },
+		func(actx context.Context, sh *shard) error {
+			rows, err := sh.auditor.UnexplainedRows(actx, parallelism)
+			if err == nil {
+				fn(sh, rows)
 			}
-			var e error
-			rows, e = sh.auditor.UnexplainedRows(actx, parallelism)
-			return e
+			return err
 		})
-		if err != nil {
-			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, len(sh.global))
-				continue
-			}
-			f.setLastDegraded(Degraded{})
-			return nil, err
-		}
+}
+
+// UnexplainedRows returns the merged-log row indexes no registered template
+// explains, ascending — the shard-local shortlists mapped through each
+// shard's global row mapping. In degraded mode a down shard's rows are
+// absent from the result (and recorded in LastDegraded); in strict mode any
+// shard failure aborts the call.
+func (f *Federation) UnexplainedRows(ctx context.Context, parallelism int) ([]int, error) {
+	var out []int
+	err := f.unexplainedByShard(ctx, parallelism, func(sh *shard, rows []int) {
 		for _, r := range rows {
 			out = append(out, sh.global[r])
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Ints(out)
-	f.setLastDegraded(deg.snapshot())
 	return out, nil
 }
 
-// UnexplainedAccesses is the error-swallowing convenience form of
-// UnexplainedAccessesErr, matching core.Auditor.UnexplainedAccessesParallel:
-// it returns nil if ctx is cancelled (or any shard fails in strict mode).
-func (f *Federation) UnexplainedAccesses(ctx context.Context, parallelism int) []int {
-	rows, err := f.UnexplainedAccessesErr(ctx, parallelism)
-	if err != nil {
-		return nil
-	}
-	return rows
-}
-
-// ExplainedFractionErr returns the fraction of merged-log rows explained by
-// the registered templates, aggregated from exact shard-local explained
-// counts — bit-identical to the single-engine fraction, because both divide
-// the same integers — with shard calls running under the resilience policy.
-// In degraded mode the fraction is over the surviving shards' rows only
-// (the denominator shrinks with the numerator, so a dead shard does not
-// masquerade as unexplained accesses); LastDegraded records the loss.
-func (f *Federation) ExplainedFractionErr(ctx context.Context, parallelism int) (float64, error) {
-	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
-	total := 0
-	unexplained := 0
-	for i, sh := range f.shards {
-		var rows []int
-		err := f.callShard(ctx, sh, func(actx context.Context) error {
-			if fault.Enabled() {
-				if err := fault.InjectCtx(actx, sh.siteAgg); err != nil {
-					return err
-				}
-			}
-			var e error
-			rows, e = sh.auditor.UnexplainedRows(actx, parallelism)
-			return e
-		})
-		if err != nil {
-			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, len(sh.global))
-				continue
-			}
-			f.setLastDegraded(Degraded{})
-			return 0, err
-		}
+// ExplainedFraction returns the fraction of merged-log rows explained by the
+// registered templates, aggregated from exact shard-local explained counts —
+// bit-identical to the single-engine fraction, because both divide the same
+// integers. An empty federation yields (0, nil), never NaN. In degraded mode
+// the fraction is over the surviving shards' rows only (the denominator
+// shrinks with the numerator, so a dead shard does not masquerade as
+// unexplained accesses); LastDegraded records the loss.
+func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) (float64, error) {
+	total, unexplained := 0, 0
+	err := f.unexplainedByShard(ctx, parallelism, func(sh *shard, rows []int) {
 		total += len(sh.global)
 		unexplained += len(rows)
-	}
-	f.setLastDegraded(deg.snapshot())
-	if total == 0 {
-		return 0, nil
+	})
+	if err != nil || total == 0 {
+		return 0, err
 	}
 	return float64(total-unexplained) / float64(total), nil
-}
-
-// ExplainedFraction is the error-swallowing convenience form of
-// ExplainedFractionErr: an empty federation, a cancelled ctx, or a strict-
-// mode shard failure yields 0, never NaN.
-func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) float64 {
-	frac, err := f.ExplainedFractionErr(ctx, parallelism)
-	if err != nil {
-		return 0
-	}
-	return frac
 }
 
 // PatientReport is the federated user-centric view: every access to one

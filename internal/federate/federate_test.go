@@ -48,6 +48,43 @@ func splitFederation(t testing.TB, ds *ehr.Dataset, k int, assign func(row int) 
 	return f
 }
 
+// batchAuditor is the batch surface core.Auditor and federate.Federation
+// share, so the helpers below serve both sides of every differential.
+type batchAuditor interface {
+	ExplainAll(ctx context.Context, parallelism int) ([]core.AccessReport, error)
+	UnexplainedRows(ctx context.Context, parallelism int) ([]int, error)
+	ExplainedFraction(ctx context.Context, parallelism int) (float64, error)
+}
+
+// explainAll, unexplainedRows, and explainedFraction run a batch call on a
+// background context and fail the test on error.
+func explainAll(t testing.TB, a batchAuditor, par int) []core.AccessReport {
+	t.Helper()
+	reps, err := a.ExplainAll(context.Background(), par)
+	if err != nil {
+		t.Fatalf("ExplainAll(j=%d): %v", par, err)
+	}
+	return reps
+}
+
+func unexplainedRows(t testing.TB, a batchAuditor, par int) []int {
+	t.Helper()
+	rows, err := a.UnexplainedRows(context.Background(), par)
+	if err != nil {
+		t.Fatalf("UnexplainedRows(j=%d): %v", par, err)
+	}
+	return rows
+}
+
+func explainedFraction(t testing.TB, a batchAuditor, par int) float64 {
+	t.Helper()
+	frac, err := a.ExplainedFraction(context.Background(), par)
+	if err != nil {
+		t.Fatalf("ExplainedFraction(j=%d): %v", par, err)
+	}
+	return frac
+}
+
 // TestFederatedStreamMatchesSingleEngine is the tentpole differential: for
 // K in {1, 2, 4} shards of a partitioned log, across three dataset seeds,
 // the federated report stream must be identical — report for report, field
@@ -55,10 +92,9 @@ func splitFederation(t testing.TB, ds *ehr.Dataset, k int, assign func(row int) 
 // worker budgets. Both time-range and round-robin partitions are exercised,
 // because the audit surface must be assignment-invariant.
 func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := single.ExplainAll(ctx, 4)
+		want := explainAll(t, single, 4)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
@@ -73,7 +109,7 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 					t.Fatalf("seed %d k=%d %s: federation covers %d rows, want %d", seed, k, name, f.Rows(), len(want))
 				}
 				for _, par := range []int{1, 4, 8} {
-					got := f.ExplainAll(ctx, par)
+					got := explainAll(t, f, par)
 					if len(got) != len(want) {
 						t.Fatalf("seed %d k=%d %s j=%d: %d reports, want %d", seed, k, name, par, len(got), len(want))
 					}
@@ -95,9 +131,8 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 // like a single engine over the whole log — including the repeat-access
 // history and collaborative groups spanning both shards.
 func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
-	ctx := context.Background()
 	ds, single := singleEngine(t, 2)
-	want := single.ExplainAll(ctx, 4)
+	want := explainAll(t, single, 4)
 
 	log := ds.Log()
 	cut := log.NumRows() / 3
@@ -127,7 +162,7 @@ func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 		t.Error("Join retrained Groups despite identical shard copies")
 	}
 
-	got := f.ExplainAll(ctx, 4)
+	got := explainAll(t, f, 4)
 	if !reflect.DeepEqual(got, want) {
 		for r := range want {
 			if r < len(got) && !reflect.DeepEqual(got[r], want[r]) {
@@ -152,7 +187,6 @@ func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 // the reused federation must audit exactly like the cold Join that trained
 // the table — while a diverged copy on any shard forces retraining.
 func TestJoinWarmStartMatchesRetrained(t *testing.T) {
-	ctx := context.Background()
 	cfg := ehr.Tiny()
 	cfg.Seed = 5
 	ds := ehr.Generate(cfg)
@@ -175,7 +209,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if cold.Hierarchy() == nil {
 		t.Fatal("cold Join over groupless shards did not train a hierarchy")
 	}
-	want := cold.ExplainAll(ctx, 4)
+	want := explainAll(t, cold, 4)
 	trained := cold.Hierarchy().Table(core.DefaultGroupsTable)
 
 	// Persist the trained table into each shard's store and reopen — the
@@ -207,7 +241,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if warm.Hierarchy() != nil {
 		t.Error("warm Join retrained Groups despite identical persisted copies")
 	}
-	if got := warm.ExplainAll(ctx, 4); !reflect.DeepEqual(got, want) {
+	if got := explainAll(t, warm, 4); !reflect.DeepEqual(got, want) {
 		t.Error("warm Join over persisted Groups audits differently from the cold Join that trained them")
 	}
 
@@ -225,13 +259,13 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if refed.Hierarchy() == nil {
 		t.Error("Join reused a diverged Groups copy instead of retraining")
 	}
-	if got := refed.ExplainAll(ctx, 4); !reflect.DeepEqual(got, want) {
+	if got := explainAll(t, refed, 4); !reflect.DeepEqual(got, want) {
 		t.Error("retrained Join audits differently from the original cold Join")
 	}
 }
 
 // TestFederatedAggregates pins the aggregated surface — Support,
-// ExplainedFraction, UnexplainedAccesses, PatientReport — to the
+// ExplainedFraction, UnexplainedRows, PatientReport — to the
 // single-engine results, including exact float equality for the fraction
 // (both sides divide the same integers).
 func TestFederatedAggregates(t *testing.T) {
@@ -239,13 +273,13 @@ func TestFederatedAggregates(t *testing.T) {
 	ds, single := singleEngine(t, 3)
 	f := splitFederation(t, ds, 4, nil)
 
-	wantUnexplained := single.UnexplainedAccessesParallel(ctx, 4)
-	gotUnexplained := f.UnexplainedAccesses(ctx, 4)
+	wantUnexplained := unexplainedRows(t, single, 4)
+	gotUnexplained := unexplainedRows(t, f, 4)
 	if !reflect.DeepEqual(gotUnexplained, wantUnexplained) {
 		t.Errorf("unexplained rows differ: %d federated vs %d single", len(gotUnexplained), len(wantUnexplained))
 	}
 
-	if got, want := f.ExplainedFraction(ctx, 4), single.ExplainedFractionParallel(ctx, 4); got != want {
+	if got, want := explainedFraction(t, f, 4), explainedFraction(t, single, 4); got != want {
 		t.Errorf("explained fraction %v, want %v", got, want)
 	}
 
@@ -254,7 +288,11 @@ func TestFederatedAggregates(t *testing.T) {
 		explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment"),
 		explain.GroupTemplate("appt-same-group", "Appointments", "an appointment"),
 	} {
-		if got, want := f.Support(tpl.Path), ev.Support(tpl.Path); got != want {
+		got, err := f.Support(ctx, tpl.Path)
+		if err != nil {
+			t.Fatalf("%s: Support: %v", tpl.Name(), err)
+		}
+		if want := ev.Support(tpl.Path); got != want {
 			t.Errorf("%s: federated support %d, want %d", tpl.Name(), got, want)
 		}
 	}
@@ -313,8 +351,8 @@ func TestFederatedMiningMatchesSingleLog(t *testing.T) {
 }
 
 // TestFederatedCancellation checks that a cancelled context stops the
-// federated stream promptly with ctx.Err() and nils the aggregate results,
-// mirroring the core engine's contract.
+// federated stream promptly with ctx.Err() and fails the aggregate calls
+// with no results, mirroring the core engine's contract.
 func TestFederatedCancellation(t *testing.T) {
 	ds, _ := singleEngine(t, 1)
 	f := splitFederation(t, ds, 2, nil)
@@ -337,49 +375,17 @@ func TestFederatedCancellation(t *testing.T) {
 
 	cancelled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if got := f.ExplainAll(cancelled, 4); got != nil {
-		t.Errorf("ExplainAll on cancelled ctx returned %d reports", len(got))
+	if got, err := f.ExplainAll(cancelled, 4); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("ExplainAll on cancelled ctx = %d reports, err %v", len(got), err)
 	}
-	if got := f.UnexplainedAccesses(cancelled, 4); got != nil {
-		t.Error("UnexplainedAccesses on cancelled ctx returned rows")
+	if got, err := f.UnexplainedRows(cancelled, 4); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("UnexplainedRows on cancelled ctx = %v, err %v", got, err)
 	}
-	if got := f.ExplainedFraction(cancelled, 4); got != 0 {
-		t.Errorf("ExplainedFraction on cancelled ctx = %v", got)
+	if got, err := f.ExplainedFraction(cancelled, 4); got != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("ExplainedFraction on cancelled ctx = %v, err %v", got, err)
 	}
-}
-
-// TestFederatedReportsIterator checks the iterator form: full iteration
-// matches StreamReports, a consumer error surfaces, and an early break
-// tears down cleanly without yielding an error.
-func TestFederatedReportsIterator(t *testing.T) {
-	ctx := context.Background()
-	ds, _ := singleEngine(t, 1)
-	f := splitFederation(t, ds, 2, nil)
-	want := f.ExplainAll(ctx, 4)
-
-	var got []core.AccessReport
-	for rep, err := range f.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("iterator error: %v", err)
-		}
-		got = append(got, rep)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("iterator reports differ from materialized reports")
-	}
-
-	seen := 0
-	for _, err := range f.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("error during early break: %v", err)
-		}
-		seen++
-		if seen == 2 {
-			break
-		}
-	}
-	if seen != 2 {
-		t.Fatalf("early break saw %d reports", seen)
+	if got, err := f.Support(cancelled, explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment").Path); got != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("Support on cancelled ctx = %v, err %v", got, err)
 	}
 }
 

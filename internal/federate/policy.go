@@ -143,8 +143,8 @@ type Degraded struct {
 func (d Degraded) IsZero() bool { return len(d.MissingShards) == 0 && d.RowsSkipped == 0 }
 
 // LastDegraded returns the Degraded annotation of the most recent
-// completed batch call (StreamReports, ExplainAll, UnexplainedAccessesErr,
-// ExplainedFractionErr). In strict mode, and after fully successful
+// completed batch call (StreamReports, ExplainAll, Support, UnexplainedRows,
+// ExplainedFraction). In strict mode, and after fully successful
 // degraded-mode calls, it is zero. Concurrent batch calls overwrite it
 // last-writer-wins; read it from the goroutine that made the call.
 func (f *Federation) LastDegraded() Degraded {

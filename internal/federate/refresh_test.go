@@ -79,7 +79,7 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		fed.AddTemplates(explain.Handcrafted(true, true).All()...)
-		warm := fed.ExplainAll(ctx, 4)
+		warm := explainAll(t, fed, 4)
 		if len(warm) != cut {
 			t.Fatalf("k=%d: warm-up covered %d rows, want %d", k, len(warm), cut)
 		}
@@ -103,9 +103,9 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		// the Groups table the federation installed.
 		single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 		single.AddTemplates(explain.Handcrafted(true, true).All()...)
-		want := single.ExplainAll(ctx, 4)
+		want := explainAll(t, single, 4)
 
-		got := fed.ExplainAll(ctx, 4)
+		got := explainAll(t, fed, 4)
 		if !reflect.DeepEqual(got, want) {
 			for r := range want {
 				if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
@@ -114,10 +114,10 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 			}
 			t.Fatalf("k=%d: refreshed federated reports differ", k)
 		}
-		if gf, wf := fed.ExplainedFraction(ctx, 4), single.ExplainedFractionParallel(ctx, 4); gf != wf {
+		if gf, wf := explainedFraction(t, fed, 4), explainedFraction(t, single, 4); gf != wf {
 			t.Errorf("k=%d: refreshed fraction = %v, want %v", k, gf, wf)
 		}
-		if gu, wu := fed.UnexplainedAccesses(ctx, 4), single.UnexplainedAccessesParallel(ctx, 4); !reflect.DeepEqual(gu, wu) {
+		if gu, wu := unexplainedRows(t, fed, 4), unexplainedRows(t, single, 4); !reflect.DeepEqual(gu, wu) {
 			t.Errorf("k=%d: refreshed unexplained differ: %v vs %v", k, gu, wu)
 		}
 
@@ -172,7 +172,7 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	fed.AddTemplates(historyCountTemplate{})
-	warmFraction := fed.ExplainedFraction(ctx, 2)
+	warmFraction := explainedFraction(t, fed, 2)
 
 	log := db.MustTable(pathmodel.LogTable)
 	for r := cut; r < n; r++ {
@@ -184,8 +184,8 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 
 	single := core.NewAuditor(db, graph())
 	single.AddTemplates(historyCountTemplate{})
-	got := fed.ExplainAll(ctx, 2)
-	want := single.ExplainAll(ctx, 2)
+	got := explainAll(t, fed, 2)
+	want := explainAll(t, single, 2)
 	if !reflect.DeepEqual(got, want) {
 		for r := range want {
 			if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
@@ -194,7 +194,7 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 		}
 		t.Fatal("refreshed non-monotone reports differ")
 	}
-	gf, wf := fed.ExplainedFraction(ctx, 2), single.ExplainedFractionParallel(ctx, 2)
+	gf, wf := explainedFraction(t, fed, 2), explainedFraction(t, single, 2)
 	if gf != wf {
 		t.Errorf("refreshed non-monotone fraction = %v, want %v", gf, wf)
 	}
@@ -244,7 +244,7 @@ func TestRefreshBadAssignmentLeavesStateIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	fed.AddTemplates(explain.Handcrafted(true, true).All()...)
-	_ = fed.ExplainAll(ctx, 2)
+	_ = explainAll(t, fed, 2)
 
 	log := db.MustTable(pathmodel.LogTable)
 	for r := cut; r < n; r++ {
@@ -276,7 +276,7 @@ func TestRefreshBadAssignmentLeavesStateIntact(t *testing.T) {
 	}
 	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 	single.AddTemplates(explain.Handcrafted(true, true).All()...)
-	if got, want := fed.ExplainAll(ctx, 2), single.ExplainAll(ctx, 2); !reflect.DeepEqual(got, want) {
+	if got, want := explainAll(t, fed, 2), explainAll(t, single, 2); !reflect.DeepEqual(got, want) {
 		t.Error("post-retry federated reports differ from single engine")
 	}
 }
